@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ldb_bench::{synth_program, FIB_C};
 use ldb_cc::driver::{compile, CompileOpts};
 use ldb_cc::{nm, pssym};
-use ldb_core::{AbstractMemory, Ldb};
+use ldb_core::{AbstractMemory, Ldb, ModuleTable};
 use ldb_machine::Arch;
 
 fn ps_interpreter(c: &mut Criterion) {
@@ -78,7 +78,7 @@ fn nub_protocol(c: &mut Criterion) {
     // A live fetch round trip through channel wires and the nub thread.
     let cc = compile("fib.c", FIB_C, Arch::Mips, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&cc.unit, &cc.funcs, Arch::Mips, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&cc.linked.image, &symtab);
+    let loader = [ModuleTable { name: cc.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&cc.linked.image, &loader).unwrap();
     let client = ldb.target(0).client.clone();
@@ -93,7 +93,7 @@ fn breakpoints(c: &mut Criterion) {
     g.sample_size(20);
     let cc = compile("fib.c", FIB_C, Arch::Mips, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&cc.unit, &cc.funcs, Arch::Mips, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&cc.linked.image, &symtab);
+    let loader = [ModuleTable { name: cc.unit.file.clone(), ps: symtab }];
     g.bench_function("breakpoint_hit_print_continue", |b| {
         b.iter(|| {
             let mut ldb = Ldb::new();
@@ -122,7 +122,7 @@ int main(void) { int i; int s; s = 0;
 "#;
     let cc = compile("loop.c", loop_c, Arch::Mips, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&cc.unit, &cc.funcs, Arch::Mips, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&cc.linked.image, &symtab);
+    let loader = [ModuleTable { name: cc.unit.file.clone(), ps: symtab }];
     // Paired A/B probe: identical sessions, checkpointing off vs on.
     for (label, every) in
         [("run_healthy_checkpoint_off", None), ("run_healthy_checkpoint_on_25k", Some(25_000))]
@@ -143,7 +143,7 @@ int main(void) { int i; int s; s = 0;
     // what every checkpoint pays; restore+replay is what reverse pays).
     let fib = compile("fib.c", FIB_C, Arch::Mips, CompileOpts::default()).unwrap();
     let fib_symtab = pssym::emit(&fib.unit, &fib.funcs, Arch::Mips, pssym::PsMode::Deferred);
-    let fib_loader = nm::loader_table_for(&fib.linked.image, &fib_symtab);
+    let fib_loader = [ModuleTable { name: fib.unit.file.clone(), ps: fib_symtab }];
     let stopped = || {
         let mut ldb = Ldb::new();
         ldb.spawn_program(&fib.linked.image, &fib_loader).unwrap();
@@ -188,7 +188,7 @@ fn wire_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("wire_cache");
     let cc = compile("fib.c", FIB_C, Arch::Mips, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&cc.unit, &cc.funcs, Arch::Mips, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&cc.linked.image, &symtab);
+    let loader = [ModuleTable { name: cc.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&cc.linked.image, &loader).unwrap();
     let client = ldb.target(0).client.clone();
@@ -310,7 +310,7 @@ fn trace_overhead(c: &mut Criterion) {
     // EXPERIMENTS.md.
     let cc = compile("fib.c", FIB_C, Arch::Mips, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&cc.unit, &cc.funcs, Arch::Mips, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&cc.linked.image, &symtab);
+    let loader = [ModuleTable { name: cc.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&cc.linked.image, &loader).unwrap();
     let client = ldb.target(0).client.clone();

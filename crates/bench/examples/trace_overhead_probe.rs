@@ -11,15 +11,15 @@ use std::time::Instant;
 
 use ldb_bench::FIB_C;
 use ldb_cc::driver::{compile, CompileOpts};
-use ldb_cc::{nm, pssym};
-use ldb_core::Ldb;
+use ldb_cc::pssym;
+use ldb_core::{Ldb, ModuleTable};
 use ldb_machine::Arch;
 use ldb_trace::Trace;
 
 fn main() {
     let cc = compile("fib.c", FIB_C, Arch::Mips, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&cc.unit, &cc.funcs, Arch::Mips, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&cc.linked.image, &symtab);
+    let loader = [ModuleTable { name: cc.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&cc.linked.image, &loader).unwrap();
     let client = ldb.target(0).client.clone();

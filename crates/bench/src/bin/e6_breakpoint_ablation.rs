@@ -11,8 +11,8 @@ use std::time::Instant;
 
 use ldb_bench::workload_suite;
 use ldb_cc::driver::{compile, CompileOpts};
-use ldb_cc::{nm, pssym};
-use ldb_core::{Ldb, StopEvent};
+use ldb_cc::pssym;
+use ldb_core::{Ldb, ModuleTable, StopEvent};
 use ldb_machine::Arch;
 
 fn main() {
@@ -62,7 +62,7 @@ fn main() {
         )
         .unwrap();
         let symtab = pssym::emit(&c.unit, &c.funcs, Arch::Mips, pssym::PsMode::Deferred);
-        let loader = nm::loader_table_for(&c.linked.image, &symtab);
+        let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
         let mut ldb = Ldb::new();
         ldb.spawn_program(&c.linked.image, &loader).unwrap();
         let addr = ldb.stop_address("tick", 1).unwrap();

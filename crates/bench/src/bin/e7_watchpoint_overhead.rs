@@ -10,8 +10,8 @@
 use std::time::Instant;
 
 use ldb_cc::driver::{compile, CompileOpts};
-use ldb_cc::{nm, pssym};
-use ldb_core::{Ldb, StopEvent};
+use ldb_cc::pssym;
+use ldb_core::{Ldb, ModuleTable, StopEvent};
 use ldb_machine::Arch;
 
 const SRC: &str = r#"
@@ -34,7 +34,7 @@ int main(void) {
 fn session() -> Ldb {
     let c = compile("tick.c", SRC, Arch::Mips, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, Arch::Mips, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     ldb

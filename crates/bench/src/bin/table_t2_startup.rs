@@ -25,7 +25,7 @@ use std::time::Instant;
 use ldb_bench::{synth_program, HELLO_C};
 use ldb_cc::driver::{compile, CompileOpts};
 use ldb_cc::{nm, pssym, stabs};
-use ldb_core::Ldb;
+use ldb_core::{Ldb, ModuleTable};
 use ldb_machine::Arch;
 
 fn ms(d: std::time::Duration) -> f64 {
@@ -56,7 +56,11 @@ fn main() {
         pssym::emit(&big_sparc.unit, &big_sparc.funcs, Arch::Sparc, pssym::PsMode::Deferred);
     let hello_loader = nm::loader_table_for(&hello.linked.image, &hello_ps);
     let big_loader = nm::loader_table_for(&big.linked.image, &big_ps);
-    let big_sparc_loader = nm::loader_table_for(&big_sparc.linked.image, &big_sparc_ps);
+    // Connects go through the per-module plan; the phase-3/4 reads above
+    // time the whole loader table.
+    let hello_plan = [ModuleTable { name: hello.unit.file.clone(), ps: hello_ps.clone() }];
+    let big_plan = [ModuleTable { name: big.unit.file.clone(), ps: big_ps.clone() }];
+    let big_sparc_plan = [ModuleTable { name: big_sparc.unit.file.clone(), ps: big_sparc_ps }];
 
     // Phase 1: interpreter initialization (the Modula-3 runtime analog).
     let (t_init, _) = time(ldb_postscript::Interp::new);
@@ -79,26 +83,26 @@ fn main() {
     // build frames).
     let (t_conn_hello, _) = time(|| {
         let mut ldb = Ldb::new();
-        ldb.spawn_program(&hello.linked.image, &hello_loader).unwrap();
+        ldb.spawn_program(&hello.linked.image, &hello_plan).unwrap();
         ldb
     });
     let (t_conn_big, _) = time(|| {
         let mut ldb = Ldb::new();
-        ldb.spawn_program(&big.linked.image, &big_loader).unwrap();
+        ldb.spawn_program(&big.linked.image, &big_plan).unwrap();
         ldb
     });
     // Phase 7: two MIPS machines in one session.
     let (t_conn_two, _) = time(|| {
         let mut ldb = Ldb::new();
-        ldb.spawn_program(&big.linked.image, &big_loader).unwrap();
-        ldb.spawn_program(&big.linked.image, &big_loader).unwrap();
+        ldb.spawn_program(&big.linked.image, &big_plan).unwrap();
+        ldb.spawn_program(&big.linked.image, &big_plan).unwrap();
         ldb
     });
     // Phase 8: cross-architecture (the debugger code is identical; only
     // the target differs).
     let (t_conn_cross, _) = time(|| {
         let mut ldb = Ldb::new();
-        ldb.spawn_program(&big_sparc.linked.image, &big_sparc_loader).unwrap();
+        ldb.spawn_program(&big_sparc.linked.image, &big_sparc_plan).unwrap();
         ldb
     });
 
@@ -123,7 +127,7 @@ fn main() {
         let (t, _) = time(|| {
             let mut ldb = Ldb::new();
             ldb.set_trace(trace.clone());
-            ldb.spawn_program(&big.linked.image, &big_loader).unwrap();
+            ldb.spawn_program(&big.linked.image, &big_plan).unwrap();
             ldb
         });
         t
@@ -137,7 +141,7 @@ fn main() {
     let conn_txns = |cache: bool| -> u64 {
         let mut ldb = Ldb::new();
         ldb.set_wire_cache(cache);
-        ldb.spawn_program(&big.linked.image, &big_loader).unwrap();
+        ldb.spawn_program(&big.linked.image, &big_plan).unwrap();
         let txns = ldb.target(0).client.borrow().metrics().transactions;
         txns
     };
@@ -203,7 +207,7 @@ fn main() {
     // shared cache), then the steady-state connect every later tenant
     // gets.
     use ldb_cc::driver::{compile_many, program_load_plan};
-    use ldb_core::{CompiledTable, ModuleCache, ModuleTable};
+    use ldb_core::{CompiledTable, ModuleCache};
     let plan_prog =
         compile_many(&[("synth.c", big_src.as_str())], Arch::Mips, CompileOpts::default())
             .unwrap();

@@ -158,19 +158,6 @@ pub fn compile_many(
     Ok(CompiledProgram { arch, order, debug: opts.debug, units, linked })
 }
 
-/// The combined loader-table PostScript for a multi-unit program: each
-/// unit's symbol table loads with a unique prefix, and PostScript code
-/// merges the per-unit top-level dictionaries into one.
-pub fn program_loader_ps(p: &CompiledProgram, mode: crate::pssym::PsMode) -> String {
-    let unit_ps: Vec<String> = p
-        .units
-        .iter()
-        .enumerate()
-        .map(|(i, (u, f))| crate::pssym::emit_prefixed(u, f, p.arch, mode, &format!("U{i}_")))
-        .collect();
-    crate::nm::loader_table_for_units(&p.linked.image, &unit_ps)
-}
-
 /// The loader table split for sandboxed loading: the trusted frame from
 /// the linker (anchor map and proctable, with a `null` symbol-table slot)
 /// plus each unit's symbol-table PostScript, named by source file. The

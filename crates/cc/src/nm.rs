@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use ldb_machine::{Image, SymKind};
+use ldb_machine::Image;
 
 /// Render the symbol table the way `nm` prints it: address, kind letter,
 /// name — sorted by name, as `nm` sorts.
@@ -57,48 +57,6 @@ pub fn loader_table_for(image: &Image, symtab_ps: &str) -> String {
     loader_table_ps(&nm_text(image), symtab_ps)
 }
 
-/// A loader table for a multi-unit program: loads each unit's symbol
-/// table, then merges their top-level dictionaries with PostScript code —
-/// the combined dictionary the paper describes ("any combination of
-/// compilation units, up to an entire program").
-pub fn loader_table_for_units(image: &Image, unit_ps: &[String]) -> String {
-    if unit_ps.len() == 1 {
-        return loader_table_for(image, &unit_ps[0]);
-    }
-    let mut merged = String::new();
-    let _ = writeln!(merged, "/__MrgPut {{ 2 index 3 1 roll put }} def");
-    for (i, ps) in unit_ps.iter().enumerate() {
-        let _ = writeln!(merged, "/__Unit{i}
-{ps}
-def");
-    }
-    let splat = |field: &str| {
-        let mut s = String::from("[");
-        for i in 0..unit_ps.len() {
-            s.push_str(&format!(" __Unit{i} /{field} get aload pop"));
-        }
-        s.push_str(" ]");
-        s
-    };
-    let merge_dicts = |field: &str| {
-        let mut s = format!("{} dict", unit_ps.len() * 16);
-        for i in 0..unit_ps.len() {
-            s.push_str(&format!(" __Unit{i} /{field} get {{ __MrgPut }} forall"));
-        }
-        s
-    };
-    let _ = writeln!(
-        merged,
-        "<< /procs {} /externs {} /statics {} /sourcemap {} /anchors {}          /architecture __Unit0 /architecture get >>",
-        splat("procs"),
-        merge_dicts("externs"),
-        merge_dicts("statics"),
-        merge_dicts("sourcemap"),
-        splat("anchors"),
-    );
-    loader_table_ps(&nm_text(image), &merged)
-}
-
 /// Parse one `nm` line (exposed for the baseline debugger and tests).
 pub fn parse_nm_line(line: &str) -> Option<(u32, char, &str)> {
     let mut parts = line.split_whitespace();
@@ -106,11 +64,6 @@ pub fn parse_nm_line(line: &str) -> Option<(u32, char, &str)> {
     let kind = parts.next()?.chars().next()?;
     let name = parts.next()?;
     Some((addr, kind, name))
-}
-
-/// The kind letters `nm` prints for private symbols are lowercase.
-pub fn is_private_kind(k: SymKind) -> bool {
-    matches!(k, SymKind::Private)
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use ldb_machine::{Arch, MachineData};
-use ldb_nub::{NubClient, NubConfig, NubEvent, NubHandle, Sig, Wire};
+use ldb_nub::{ClientConfig, FaultConfig, FaultyWire, NubClient, NubEvent, NubHandle, Sig, Wire};
 use ldb_postscript::{Budget, DictRef, Interp, Location, Object, Out, PsError, PsFile, Value};
 use ldb_trace::{Layer, Severity, Trace};
 
@@ -22,6 +23,7 @@ use crate::breakpoint::Breakpoints;
 use crate::chaos::{ChaosConfig, ChaosMemory};
 use crate::frame::{frame_walker, walk_stack, Frame, WalkCtx, WalkStop};
 use crate::loader::{CompiledTable, Loader, ModuleTable};
+use crate::prepared::PreparedTarget;
 use crate::psops::{make_arch_dict, make_debug_dict, CtxRef, EvalCtx, MemHandle};
 use crate::symtab;
 use crate::LdbError;
@@ -241,6 +243,10 @@ pub struct Target {
     reg_cache: Vec<(String, u32)>,
     /// The checkpoint ring reverse execution rewinds through.
     pub checkpoints: crate::checkpoint::CheckpointStore,
+    /// The prepared program this target was attached from
+    /// ([`Ldb::attach_prepared`]): what `list`, `disas` and a reattach
+    /// after `detach` read. `None` for targets attached from raw tables.
+    pub(crate) prepared: Option<Arc<PreparedTarget>>,
 }
 
 impl Target {
@@ -290,27 +296,6 @@ impl Default for PsBudgets {
 /// outcome — `Ok(())` reloaded, `Err(reason)` still quarantined.
 pub type ReloadRow = (String, Result<(), String>);
 
-/// Where an attach gets its loader table from.
-enum TableSource<'a> {
-    /// One combined loader-table program (the classic path).
-    Whole(&'a str),
-    /// Trusted frame plus per-module tables, sandboxed individually.
-    Plan {
-        /// Linker frame: anchor map and proctable, `/symtab null`.
-        frame: &'a str,
-        /// Per-module symbol tables.
-        modules: &'a [ModuleTable],
-    },
-    /// Trusted frame plus pre-compiled per-module tables; module bodies
-    /// run lazily on first demand (breakpoint, walk, or print).
-    Compiled {
-        /// Linker frame, precompiled: anchor map and proctable.
-        frame: &'a ldb_postscript::CompiledModule,
-        /// Per-module compiled symbol tables.
-        modules: &'a [CompiledTable],
-    },
-}
-
 /// The debugger session.
 pub struct Ldb {
     /// The embedded PostScript interpreter.
@@ -351,6 +336,16 @@ pub struct Ldb {
     /// when set, resumes run in `N`-step legs and a checkpoint is taken at
     /// each leg boundary. `None` (the default) leaves the run path alone.
     checkpoint_every: Option<u64>,
+    /// Expressions re-evaluated and printed after every stop (`display`).
+    pub(crate) displays: Vec<String>,
+    /// A detached target awaiting `attach` ([`Ldb::detach_parked`]): the
+    /// nub handle keeps the program (and its preserved state) alive.
+    parked: Option<(NubHandle, Arc<PreparedTarget>, ClientConfig)>,
+    /// Fault-injection spec for fresh product wires ([`Ldb::set_fault`]).
+    fault: Option<FaultConfig>,
+    /// Bytes `ps` has charged this session: what its code `def`s
+    /// outlives the command, so its allocation cap is a session total.
+    pub(crate) ps_alloc_spent: u64,
 }
 
 /// Session-wide robustness counters: how often the defensive layers
@@ -477,6 +472,10 @@ impl Ldb {
             cancel: None,
             base_dicts,
             checkpoint_every: None,
+            displays: Vec::new(),
+            parked: None,
+            fault: None,
+            ps_alloc_spent: 0,
         };
         ldb.register_expr_ops();
         ldb
@@ -628,44 +627,16 @@ impl Ldb {
 
     // ----- targets -----
 
-    /// Attach over a wire: waits for the nub's initial stop notification,
-    /// then loads the loader-table PostScript.
-    ///
-    /// # Errors
-    /// Nub and PostScript failures.
-    pub fn attach(
-        &mut self,
-        wire: Box<dyn Wire>,
-        loader_ps: &str,
-        nub: Option<NubHandle>,
-    ) -> Result<usize, LdbError> {
-        self.attach_with_config(wire, loader_ps, nub, ldb_nub::ClientConfig::default())
-    }
-
-    /// As [`Ldb::attach`], with an explicit resilience policy for the nub
-    /// client (lossy wires want shorter timeouts and bigger retry
-    /// budgets than the defaults).
-    ///
-    /// # Errors
-    /// As [`Ldb::attach`].
-    pub fn attach_with_config(
-        &mut self,
-        wire: Box<dyn Wire>,
-        loader_ps: &str,
-        nub: Option<NubHandle>,
-        cfg: ldb_nub::ClientConfig,
-    ) -> Result<usize, LdbError> {
-        self.attach_source(wire, TableSource::Whole(loader_ps), nub, cfg)
-    }
-
     /// Attach from a *load plan*: the trusted loader frame plus one
     /// symbol table per module, each sandboxed under the load budget.
     /// Modules that fault, exhaust their budget, or fail validation are
     /// quarantined (see `Loader::load_plan`); the attach succeeds as long
     /// as at least one module survives.
     ///
+    /// Waits for the nub's initial stop notification before loading.
+    ///
     /// # Errors
-    /// As [`Ldb::attach`], or every module quarantined.
+    /// Nub and PostScript failures, or every module quarantined.
     pub fn attach_plan(
         &mut self,
         wire: Box<dyn Wire>,
@@ -673,12 +644,7 @@ impl Ldb {
         modules: &[ModuleTable],
         nub: Option<NubHandle>,
     ) -> Result<usize, LdbError> {
-        self.attach_source(
-            wire,
-            TableSource::Plan { frame: frame_ps, modules },
-            nub,
-            ldb_nub::ClientConfig::default(),
-        )
+        self.attach_plan_with_config(wire, frame_ps, modules, nub, ClientConfig::default())
     }
 
     /// As [`Ldb::attach_plan`], with an explicit nub client policy.
@@ -691,9 +657,9 @@ impl Ldb {
         frame_ps: &str,
         modules: &[ModuleTable],
         nub: Option<NubHandle>,
-        cfg: ldb_nub::ClientConfig,
+        cfg: ClientConfig,
     ) -> Result<usize, LdbError> {
-        self.attach_source(wire, TableSource::Plan { frame: frame_ps, modules }, nub, cfg)
+        self.attach_source(wire, nub, cfg, |i, b| Loader::load_plan(i, frame_ps, modules, b))
     }
 
     /// Attach from pre-compiled symbol tables (see
@@ -714,9 +680,9 @@ impl Ldb {
         frame: &ldb_postscript::CompiledModule,
         modules: &[CompiledTable],
         nub: Option<NubHandle>,
-        cfg: ldb_nub::ClientConfig,
+        cfg: ClientConfig,
     ) -> Result<usize, LdbError> {
-        self.attach_source(wire, TableSource::Compiled { frame, modules }, nub, cfg)
+        self.attach_source(wire, nub, cfg, |i, b| Loader::load_plan_compiled(i, frame, modules, b))
     }
 
     /// As [`Ldb::attach_compiled_with_config`] with the default nub
@@ -731,20 +697,17 @@ impl Ldb {
         modules: &[CompiledTable],
         nub: Option<NubHandle>,
     ) -> Result<usize, LdbError> {
-        self.attach_source(
-            wire,
-            TableSource::Compiled { frame, modules },
-            nub,
-            ldb_nub::ClientConfig::default(),
-        )
+        self.attach_compiled_with_config(wire, frame, modules, nub, ClientConfig::default())
     }
 
+    /// Connect over `wire`, wait for the nub's stop announcement, then
+    /// build the target's loader with `load` under the load budget.
     fn attach_source(
         &mut self,
         wire: Box<dyn Wire>,
-        source: TableSource<'_>,
         nub: Option<NubHandle>,
-        cfg: ldb_nub::ClientConfig,
+        cfg: ClientConfig,
+        load: impl FnOnce(&mut Interp, Budget) -> ldb_postscript::PsResult<Loader>,
     ) -> Result<usize, LdbError> {
         let mut client = NubClient::with_config(wire, cfg);
         client.set_trace(self.trace.clone());
@@ -761,17 +724,7 @@ impl Ldb {
             Rc::new(std::cell::RefCell::new(ldb_postscript::Dict::new(256)));
         self.pop_target_dicts();
         self.interp.push_dict(Rc::clone(&unit_dict));
-        let loaded = match source {
-            TableSource::Whole(ps) => {
-                Loader::load_budgeted(&mut self.interp, ps, self.budgets.load)
-            }
-            TableSource::Plan { frame, modules } => {
-                Loader::load_plan(&mut self.interp, frame, modules, self.budgets.load)
-            }
-            TableSource::Compiled { frame, modules } => {
-                Loader::load_plan_compiled(&mut self.interp, frame, modules, self.budgets.load)
-            }
-        };
+        let loaded = load(&mut self.interp, self.budgets.load);
         let _ = self.interp.pop_dict();
         let loader = Rc::new(loaded?);
         let arch = loader.arch;
@@ -814,6 +767,7 @@ impl Ldb {
             disconnected: false,
             reg_cache: Vec::new(),
             checkpoints: crate::checkpoint::CheckpointStore::default(),
+            prepared: None,
         };
         // Recover any breakpoints a crashed predecessor left planted.
         let _ = target.breakpoints.recover(&target.client);
@@ -837,21 +791,128 @@ impl Ldb {
         Ok(id)
     }
 
-    /// Spawn a program under a fresh nub and attach to it — the "target
-    /// process forked as a child" connection mechanism.
+    /// Spawn a program under a fresh nub and attach to it eagerly from
+    /// `modules`, with the loader frame generated from the image's `nm`
+    /// listing — the "target process forked as a child" connection
+    /// mechanism, on the reference plan path.
     ///
     /// # Errors
-    /// As [`Ldb::attach`].
+    /// As [`Ldb::attach_plan`].
     pub fn spawn_program(
         &mut self,
         image: &ldb_machine::Image,
-        loader_ps: &str,
+        modules: &[ModuleTable],
     ) -> Result<usize, LdbError> {
-        let handle = ldb_nub::spawn(image, NubConfig { wait_at_pause: true, ..Default::default() });
+        let handle =
+            ldb_nub::spawn(image, ldb_nub::NubConfig { wait_at_pause: true, ..Default::default() });
         let wire = handle
             .connect_channel()
             .map_err(|e| LdbError::Nub(ldb_nub::NubError::Io(e)))?;
-        self.attach(Box::new(wire), loader_ps, Some(handle))
+        let frame = ldb_cc::nm::loader_table_for(image, "null");
+        self.attach_plan(Box::new(wire), &frame, modules, Some(handle))
+    }
+
+    /// The product attach: wrap `wire` (a connection to `nub`) in the
+    /// session's fault injector ([`Ldb::set_fault`]) and attach lazily
+    /// from `prepared`'s compiled tables. The target remembers `prepared`
+    /// for `list`, `disas` and a reattach after `detach`.
+    ///
+    /// # Errors
+    /// As [`Ldb::attach_compiled_with_config`].
+    pub fn attach_prepared(
+        &mut self,
+        prepared: &Arc<PreparedTarget>,
+        nub: NubHandle,
+        wire: Box<dyn Wire>,
+        cfg: ClientConfig,
+    ) -> Result<usize, LdbError> {
+        let wire = self.fault_wrap(wire);
+        let (frame, tables) = (&prepared.frame, &prepared.tables);
+        let id = self.attach_compiled_with_config(wire, frame, tables, Some(nub), cfg)?;
+        self.targets[id].prepared = Some(Arc::clone(prepared));
+        Ok(id)
+    }
+
+    /// Spawn `prepared` under a fresh nub and attach to it over an
+    /// in-process channel ([`Ldb::attach_prepared`]).
+    ///
+    /// # Errors
+    /// As [`Ldb::attach_prepared`], or the nub thread already gone.
+    pub fn spawn_prepared(
+        &mut self,
+        prepared: &Arc<PreparedTarget>,
+        cfg: ClientConfig,
+    ) -> Result<usize, LdbError> {
+        let nub = prepared.spawn();
+        let wire = nub.connect_channel().map_err(|e| LdbError::msg(format!("connect: {e}")))?;
+        self.attach_prepared(prepared, nub, Box::new(wire), cfg)
+    }
+
+    /// Wrap every fresh product wire — attach, reattach, reconnect — in a
+    /// deterministic fault injector journaling into the session's
+    /// recorder; `None` turns injection off.
+    pub fn set_fault(&mut self, fault: Option<FaultConfig>) {
+        self.fault = fault;
+    }
+
+    fn fault_wrap(&self, wire: Box<dyn Wire>) -> Box<dyn Wire> {
+        match &self.fault {
+            Some(cfg) => {
+                let mut fw = FaultyWire::new(wire, cfg.clone());
+                fw.set_trace(self.trace.clone());
+                Box::new(fw)
+            }
+            None => wire,
+        }
+    }
+
+    /// Detach from the current target and park its nub for a later
+    /// [`Ldb::reattach_parked`]; the program's state stays preserved in
+    /// the nub.
+    ///
+    /// # Errors
+    /// Nothing selected; the target was not attached from a prepared
+    /// program or its nub handle was already taken; nub failures.
+    pub fn detach_parked(&mut self) -> Result<(), LdbError> {
+        let id = self.cur_id()?;
+        let t = &self.targets[id];
+        let prepared = t.prepared.clone().ok_or_else(|| {
+            LdbError::msg("this target was not attached from a prepared program")
+        })?;
+        let cfg = t.client.borrow().config().clone();
+        let nub = self
+            .detach_current()?
+            .ok_or_else(|| LdbError::msg("this target has no local nub handle (already taken)"))?;
+        self.parked = Some((nub, prepared, cfg));
+        Ok(())
+    }
+
+    /// Reattach to the target [`Ldb::detach_parked`] left behind;
+    /// breakpoints are recovered from the nub's plant records.
+    ///
+    /// # Errors
+    /// Nothing parked; attach failures (the parked nub is consumed).
+    pub fn reattach_parked(&mut self) -> Result<usize, LdbError> {
+        let (nub, prepared, cfg) =
+            self.parked.take().ok_or_else(|| LdbError::msg("nothing detached in this session"))?;
+        let wire = nub.connect_channel().map_err(|e| LdbError::msg(e.to_string()))?;
+        self.attach_prepared(&prepared, nub, Box::new(wire), cfg)
+            .map_err(|e| LdbError::msg(format!("reattach failed: {e}")))
+    }
+
+    /// Replace the current target's wire with a fresh channel to its own
+    /// nub ([`Ldb::reconnect`]) — the recovery move after a lost or
+    /// fault-severed connection.
+    ///
+    /// # Errors
+    /// Nothing selected; no local nub handle; nub failures.
+    pub fn reconnect_current(&mut self) -> Result<StopEvent, LdbError> {
+        let id = self.current().ok_or_else(|| LdbError::msg("no target"))?;
+        let nub = self.targets[id].nub.as_ref().ok_or_else(|| {
+            LdbError::msg("this target has no local nub handle to reconnect through")
+        })?;
+        let wire = nub.connect_channel().map_err(|e| LdbError::msg(e.to_string()))?;
+        self.reconnect(id, self.fault_wrap(Box::new(wire)))
     }
 
     /// Reattach target `id` over a fresh wire after the old connection
@@ -1004,13 +1065,15 @@ impl Ldb {
     /// terminates, and the typed reason it stopped lands in
     /// [`Target::walk_stop`] for `bt` to render.
     fn after_stop(&mut self, id: usize) -> Result<(), LdbError> {
-        // Any stop past the startup pause / attach announcement is about
-        // to be walked and described, and both need symbol-table entries
-        // (frame metadata, procedure names) — so pending lazily-loaded
-        // modules must materialize before the walk. The initial pause
-        // stays lazy: that is what makes connect headers-only.
+        // Any stop past the startup pause is about to be walked and
+        // described, and both need symbol-table entries (frame metadata,
+        // procedure names) — so pending lazily-loaded modules must
+        // materialize before the walk. The startup pause stays lazy: that
+        // is what makes connect headers-only. An attach announcement is
+        // a program stopped mid-run (a core file, a reattach), whose
+        // stack is worth walking.
         if let Some(stop) = self.targets[id].stop {
-            if !matches!(stop.sig, Sig::Pause | Sig::Attach) {
+            if stop.sig != Sig::Pause {
                 self.force_all_pending(id);
             }
         }

@@ -13,17 +13,17 @@
 //! # Examples
 //! ```no_run
 //! use ldb_cc::driver::{compile, CompileOpts};
-//! use ldb_cc::{nm, pssym};
-//! use ldb_core::Ldb;
+//! use ldb_cc::pssym;
+//! use ldb_core::{Ldb, ModuleTable};
 //! use ldb_machine::Arch;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let src = "int main(void) { return 0; }";
 //! let c = compile("t.c", src, Arch::Mips, CompileOpts::default())?;
 //! let symtab = pssym::emit(&c.unit, &c.funcs, c.arch, pssym::PsMode::Deferred);
-//! let loader = nm::loader_table_for(&c.linked.image, &symtab);
 //! let mut ldb = Ldb::new();
-//! let _target = ldb.spawn_program(&c.linked.image, &loader)?;
+//! let modules = [ModuleTable { name: "t.c".into(), ps: symtab }];
+//! let _target = ldb.spawn_program(&c.linked.image, &modules)?;
 //! ldb.break_at("main", 0)?;
 //! ldb.cont()?;
 //! println!("{:?}", ldb.backtrace());
@@ -39,6 +39,7 @@ pub mod debugger;
 pub mod event;
 pub mod frame;
 pub mod loader;
+pub mod prepared;
 pub mod psops;
 pub mod script;
 pub mod session;
@@ -57,8 +58,10 @@ pub use loader::{CompiledTable, FrameMeta, Loader, ModuleTable, Quarantined};
 pub use ldb_postscript::{compile_module, CompiledModule, ModuleCache};
 pub use ldb_postscript::CacheStats as ModuleCacheStats;
 pub use psops::{CtxRef, EvalCtx, MemHandle};
+pub use prepared::{prepare_target, service_client_config, PreparedTarget};
 pub use script::{
-    command_count, panic_text, run_command_guarded, run_script, trace_report, BatchOutcome,
+    command_count, panic_text, run_command_guarded, run_line, run_script, trace_report,
+    lookup, quarantine_warnings, BatchOutcome, Command, COMMANDS,
 };
 pub use session::{
     CloseReason, Session, SessionBuilder, SessionConfig, SessionError, SessionRegistry,

@@ -629,10 +629,6 @@ impl Loader {
         }
     }
 
-    /// Share the cached runtime procedure table (tests, figures).
-    pub fn rpt_cache(&self) -> Option<Rpt> {
-        self.rpt.borrow().clone()
-    }
 }
 
 /// A sharable loader.

@@ -5,8 +5,8 @@
 //! expression server.
 
 use ldb_cc::driver::{compile, CompileOpts, Compiled};
-use ldb_cc::{nm, pssym};
-use ldb_core::{Ldb, StopEvent};
+use ldb_cc::pssym;
+use ldb_core::{Ldb, ModuleTable, StopEvent};
 use ldb_machine::{Arch, ByteOrder};
 
 const FIB: &str = r#"void fib(int n)
@@ -27,10 +27,10 @@ const FIB: &str = r#"void fib(int n)
 int main(void) { fib(10); return 0; }
 "#;
 
-fn build(arch: Arch, order: Option<ByteOrder>) -> (Compiled, String) {
+fn build(arch: Arch, order: Option<ByteOrder>) -> (Compiled, [ModuleTable; 1]) {
     let c = compile("fib.c", FIB, arch, CompileOpts { order, ..Default::default() }).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     (c, loader)
 }
 
@@ -149,7 +149,7 @@ fn deep_recursion_backtrace_and_frame_selection() {
     for arch in Arch::ALL {
         let c = compile("rec.c", src, arch, CompileOpts::default()).unwrap();
         let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-        let loader = nm::loader_table_for(&c.linked.image, &symtab);
+        let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
         let mut ldb = Ldb::new();
         ldb.spawn_program(&c.linked.image, &loader).unwrap();
         // Stop at the k == 0 check when the recursion has bottomed out.
@@ -232,7 +232,7 @@ fn faulting_program_reports_signal_and_stack() {
     "#;
     let c = compile("crash.c", src, Arch::M68k, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, Arch::M68k, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     let ev = ldb.cont().unwrap();

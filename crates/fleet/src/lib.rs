@@ -51,15 +51,17 @@ pub mod report;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ldb_cc::driver::{compile_many, program_load_plan, CompileOpts};
-use ldb_cc::pssym::PsMode;
 use ldb_core::{
-    BatchOutcome, ChaosConfig, CloseReason, CompiledTable, Health, LdbError, ModuleCache, Session,
+    service_client_config, BatchOutcome, ChaosConfig, CloseReason, Health, ModuleCache, Session,
     SessionBuilder, SessionConfig, SessionError,
 };
-use ldb_machine::{Arch, Image};
-use ldb_nub::{spawn, ClientConfig, FaultConfig, FaultyWire, NubConfig, Wire};
+use ldb_machine::Arch;
+use ldb_nub::FaultConfig;
 use ldb_trace::{Layer, Severity, Trace, TraceConfig};
+
+/// A compiled target shared by every session that debugs the same
+/// `(arch, source)` pair (see [`ldb_core::PreparedTarget`]).
+pub use ldb_core::{prepare_target, PreparedTarget};
 
 /// One scripted session: what to debug, what to type at it, and which
 /// faults to inject. A spec is a *pure value* — running it twice with
@@ -288,44 +290,6 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map_or(2, |n| n.get().saturating_sub(1).max(2))
 }
 
-/// A compiled target shared by every session that debugs the same
-/// `(arch, source)` pair: the linked image plus the bytecode-compiled
-/// symbol tables. Compiling C and symbol tables is deterministic but not
-/// free; at 10k sessions over a handful of distinct programs it is the
-/// difference between seconds and minutes.
-pub struct PreparedTarget {
-    /// The linked program.
-    pub image: Image,
-    /// The compiled frame table (machine-dependent walker data).
-    pub frame: Arc<ldb_core::CompiledModule>,
-    /// The compiled per-module symbol tables.
-    pub tables: Vec<CompiledTable>,
-}
-
-/// Compile `source` for `arch` once, interning symbol tables in `cache`.
-///
-/// # Errors
-/// Compiler or table-compile failures, as a message.
-pub fn prepare_target(
-    arch: Arch,
-    source: &str,
-    cache: &ModuleCache,
-) -> Result<PreparedTarget, String> {
-    let p = compile_many(&[("target.c", source)], arch, CompileOpts::default())
-        .map_err(|e| format!("compile: {e}"))?;
-    let (frame_ps, modules) = program_load_plan(&p, PsMode::Deferred);
-    let (frame, _hit) = cache.get_or_compile(&frame_ps).map_err(|e| format!("frame: {e}"))?;
-    let tables = modules
-        .into_iter()
-        .map(|(name, ps)| {
-            let (module, _hit) =
-                cache.get_or_compile(&ps).map_err(|e| format!("table `{name}`: {e}"))?;
-            Ok(CompiledTable { name, module })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(PreparedTarget { image: p.linked.image, frame, tables })
-}
-
 /// The session builder for one attempt: spawn a fresh nub on the shared
 /// prepared target, wrap the wire in the spec's fault injector (seed
 /// bumped by `attempt` so the retry schedule is deterministic), arm the
@@ -339,33 +303,15 @@ fn attempt_builder(
 ) -> SessionBuilder {
     Box::new(move |ldb| {
         ldb.set_trace(trace);
-        let handle =
-            spawn(&prepared.image, NubConfig { wait_at_pause: true, ..Default::default() });
-        let wire = handle
-            .connect_channel()
-            .map_err(|e| LdbError::msg(format!("connect: {e}")))?;
-        let wire: Box<dyn Wire> = match fault {
-            Some(mut cfg) => {
-                // A retried attempt replays against a *different* fault
-                // schedule — that is what makes the fault transient —
-                // but a deterministic one: seed + attempt, nothing
-                // drawn from the clock.
-                cfg.seed = cfg.seed.wrapping_add(u64::from(attempt));
-                let mut fw = FaultyWire::wrap(wire, cfg);
-                fw.set_trace(ldb.trace().clone());
-                Box::new(fw)
-            }
-            None => Box::new(wire),
-        };
+        // A retried attempt replays against a *different* fault schedule
+        // — that is what makes the fault transient — but a deterministic
+        // one: seed + attempt, nothing drawn from the clock.
+        ldb.set_fault(fault.map(|mut cfg| {
+            cfg.seed = cfg.seed.wrapping_add(u64::from(attempt));
+            cfg
+        }));
         ldb.set_chaos(chaos);
-        let client = ClientConfig {
-            reply_timeout: Duration::from_secs(2),
-            retries: 4,
-            backoff: Duration::from_millis(1),
-            event_poll: Duration::from_millis(100),
-            jitter_seed: u64::from(attempt),
-        };
-        ldb.attach_compiled_with_config(wire, &prepared.frame, &prepared.tables, Some(handle), client)?;
+        ldb.spawn_prepared(&prepared, service_client_config(u64::from(attempt)))?;
         Ok(String::new())
     })
 }

@@ -779,14 +779,6 @@ impl NubClient {
         }
     }
 
-    /// Resume the target without waiting.
-    ///
-    /// # Errors
-    /// Connection loss.
-    pub fn continue_only(&mut self) -> Result<(), NubError> {
-        self.resume(Request::Continue)
-    }
-
     /// Break the connection; the nub preserves the target's state.
     ///
     /// # Errors

@@ -16,7 +16,7 @@
 //! analysis). Lookup caches live for one run only, so machine-dependent
 //! names (`Regset0`, `&wordsize`, …) still rebind per architecture.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -92,11 +92,6 @@ impl CompiledModule {
     /// connect without executing them.
     pub fn architecture(&self) -> Option<&str> {
         self.architecture.as_deref()
-    }
-
-    /// Number of top-level instructions.
-    pub fn top_len(&self) -> usize {
-        self.top.len()
     }
 
     /// Execute the compiled module.
@@ -267,13 +262,9 @@ struct Compiler {
     names: Vec<Arc<str>>,
     name_index: HashMap<Arc<str>, u32>,
     procs: Vec<Vec<Instr>>,
-    /// Texts the module uses as literal names (`/x`): potential `def`
-    /// targets, so lookups of the matching exec names are never cached.
-    lit_names: HashSet<Arc<str>>,
-    /// Words appearing inside string literals: deferred code (`(…) cvx`)
-    /// and `cvn` arguments hide behind these, so they are treated like
-    /// literal names.
-    string_words: HashSet<String>,
+    /// Per name: does the module use it as a literal name (`/x`)? Those
+    /// are potential `def` targets, so their lookups are never cached.
+    literal: Vec<bool>,
     /// Set when a [`DYNAMIC_MARKERS`] name appears: no caching at all.
     dynamic: bool,
 }
@@ -286,8 +277,7 @@ impl Compiler {
             names: Vec::new(),
             name_index: HashMap::new(),
             procs: Vec::new(),
-            lit_names: HashSet::new(),
-            string_words: HashSet::new(),
+            literal: Vec::new(),
             dynamic: false,
         }
     }
@@ -295,12 +285,6 @@ impl Compiler {
     fn intern_string(&mut self, s: &str) -> u32 {
         if let Some(&i) = self.string_index.get(s) {
             return i;
-        }
-        for word in s.split(|c: char| !is_word_char(c)) {
-            let word = word.trim_start_matches('/');
-            if !word.is_empty() {
-                self.string_words.insert(word.to_string());
-            }
         }
         let a: Arc<str> = Arc::from(s);
         let i = self.strings.len() as u32;
@@ -317,6 +301,7 @@ impl Compiler {
         let i = self.names.len() as u32;
         self.names.push(Arc::clone(&a));
         self.name_index.insert(a, i);
+        self.literal.push(false);
         i
     }
 
@@ -327,7 +312,7 @@ impl Compiler {
             (Value::String(s), false) => Ok(Instr::Str(self.intern_string(s))),
             (Value::Name(n), false) => {
                 let i = self.intern_name(n);
-                self.lit_names.insert(Arc::clone(&self.names[i as usize]));
+                self.literal[i as usize] = true;
                 Ok(Instr::LitName(i))
             }
             (Value::Name(n), true) => {
@@ -408,14 +393,23 @@ pub fn compile_module(source: &str) -> PsResult<CompiledModule> {
             }
         }
     }
+    // Words inside string literals count as literal names: deferred code
+    // (`(…) cvx`) and `cvn` arguments hide behind them.
+    for s in &c.strings {
+        let words = s.split(|ch: char| !is_word_char(ch)).map(|w| w.trim_start_matches('/'));
+        for word in words.filter(|w| !w.is_empty()) {
+            if let Some(&i) = c.name_index.get(word) {
+                c.literal[i as usize] = true;
+            }
+        }
+    }
     let names = c
         .names
         .iter()
-        .map(|text| NameEntry {
-            cacheable: !c.dynamic
-                && !c.lit_names.contains(text)
-                && !c.string_words.contains(&**text),
+        .zip(&c.literal)
+        .map(|(text, &literal)| NameEntry {
             text: Arc::clone(text),
+            cacheable: !c.dynamic && !literal,
         })
         .collect();
     Ok(CompiledModule {

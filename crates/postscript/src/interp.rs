@@ -152,13 +152,6 @@ impl Interp {
         self.out.clone()
     }
 
-    /// Change the execution nesting limit. The default (400) is
-    /// conservative so deep PostScript recursion fails cleanly with a
-    /// `limitcheck` instead of exhausting a small host thread stack.
-    pub fn set_max_depth(&mut self, depth: usize) {
-        self.max_depth = depth;
-    }
-
     /// Attach (or detach, with [`Trace::off`]) the flight recorder.
     pub fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
@@ -509,17 +502,6 @@ impl Interp {
         self.systemdict
             .borrow_mut()
             .put_name(name, Object::ex(Value::Operator(op)));
-    }
-
-    /// Register an operator in an arbitrary dictionary (per-architecture
-    /// dictionaries use this).
-    pub fn register_in(
-        dict: &crate::object::DictRef,
-        name: &str,
-        f: impl Fn(&mut Interp) -> PsResult<()> + 'static,
-    ) {
-        let op = Operator { name: Rc::from(name), f: Rc::new(f) };
-        dict.borrow_mut().put_name(name, Object::ex(Value::Operator(op)));
     }
 
     // ----- execution -----

@@ -8,8 +8,8 @@
 //! Run with `cargo run --example bug_hunt`.
 
 use ldb_cc::driver::{compile, CompileOpts};
-use ldb_cc::{nm, pssym};
-use ldb_core::{Ldb, StopEvent};
+use ldb_cc::pssym;
+use ldb_core::{Ldb, ModuleTable, StopEvent};
 use ldb_machine::Arch;
 
 // The bug: the "normalize" helper clamps to 99 with `>` instead of
@@ -43,7 +43,7 @@ fn main() {
     let arch = Arch::Mips;
     let c = compile("chk.c", SRC, arch, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     println!("-- the report: one table entry breaks the `< 100` invariant\n");
@@ -90,7 +90,7 @@ fn main() {
     fn fresh(arch: Arch) -> Ldb {
         let c = compile("chk.c", SRC, arch, CompileOpts::default()).unwrap();
         let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-        let loader = nm::loader_table_for(&c.linked.image, &symtab);
+        let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
         let mut ldb = Ldb::new();
         ldb.spawn_program(&c.linked.image, &loader).unwrap();
         ldb

@@ -10,8 +10,8 @@
 //! Run with: `cargo run --example cross_debug`
 
 use ldb_cc::driver::{compile, CompileOpts};
-use ldb_cc::{nm, pssym};
-use ldb_core::Ldb;
+use ldb_cc::pssym;
+use ldb_core::{Ldb, ModuleTable};
 use ldb_machine::{Arch, ByteOrder};
 
 const SRC: &str = r#"
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             CompileOpts { order: *order, ..Default::default() },
         )?;
         let symtab = pssym::emit(&c.unit, &c.funcs, *arch, pssym::PsMode::Deferred);
-        let loader = nm::loader_table_for(&c.linked.image, &symtab);
+        let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
         let id = ldb.spawn_program(&c.linked.image, &loader)?;
         ids.push((id, *label));
         println!("target {id}: {label} attached");

@@ -13,8 +13,8 @@
 use std::io::Read;
 
 use ldb_cc::driver::{compile, CompileOpts};
-use ldb_cc::{nm, pssym};
-use ldb_core::Ldb;
+use ldb_cc::pssym;
+use ldb_core::{Ldb, ModuleTable};
 use ldb_machine::Arch;
 
 const SRC: &str = r#"
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = Arch::M68k;
     let c = compile("weigh.c", SRC, arch, CompileOpts::default())?;
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader)?;
     ldb.break_at("weigh", 2)?; // the return statement

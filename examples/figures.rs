@@ -9,8 +9,8 @@
 
 use ldb_cc::driver::{compile, CompileOpts};
 use ldb_cc::ir::{SymKindIr, WhereIr};
-use ldb_cc::{nm, pssym};
-use ldb_core::Ldb;
+use ldb_cc::pssym;
+use ldb_core::{Ldb, ModuleTable};
 use ldb_machine::Arch;
 
 const FIB_C: &str = r#"void fib(int n)
@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 "#
     );
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader)?;
     ldb.break_at("fib", 7)?;

@@ -11,7 +11,7 @@
 
 use ldb_cc::driver::{compile, CompileOpts};
 use ldb_cc::{nm, pssym};
-use ldb_core::{Ldb, StopEvent};
+use ldb_core::{Ldb, ModuleTable, StopEvent};
 use ldb_machine::Arch;
 use ldb_nub::NubConfig;
 
@@ -35,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = Arch::Sparc;
     let c = compile("broken.c", SRC, arch, CompileOpts::default())?;
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
+    let frame = nm::loader_table_for(&c.linked.image, "null");
 
     // The program starts on its own — no debugger anywhere near it.
     let nub = ldb_nub::spawn(&c.linked.image, NubConfig::default());
@@ -45,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A debugger connects to the faulted process (the "network" path).
     let mut ldb = Ldb::new();
     let wire = nub.connect_channel().unwrap();
-    ldb.attach(Box::new(wire), &loader, None)?;
+    ldb.attach_plan(Box::new(wire), &frame, &loader, None)?;
     let t = ldb.target(0);
     let stop = t.stop.expect("stopped at the fault");
     println!("attached: signal {:?}, faulting address {:#x}", stop.sig, stop.code);
@@ -68,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A second ldb picks the target up where the first left it.
     let mut ldb2 = Ldb::new();
     let wire = nub.connect_channel().unwrap();
-    ldb2.attach(Box::new(wire), &loader, None)?;
+    ldb2.attach_plan(Box::new(wire), &frame, &loader, None)?;
     println!("new debugger attached; k is still {}", {
         ldb2.select_frame(1)?;
         ldb2.print_var("k")?

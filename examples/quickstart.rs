@@ -8,8 +8,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use ldb_cc::driver::{compile, CompileOpts};
-use ldb_cc::{nm, pssym};
-use ldb_core::{Ldb, StopEvent};
+use ldb_cc::pssym;
+use ldb_core::{Ldb, ModuleTable, StopEvent};
 use ldb_machine::Arch;
 
 const FIB_C: &str = r#"void fib(int n)
@@ -39,11 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         c.linked.stats.insn_count, c.linked.stats.nop_count
     );
 
-    // 2. The compiler driver runs `nm` over the linked image and wraps the
-    //    PostScript symbol table into a loader table.
+    // 2. The compiler emits the unit's PostScript symbol table; the
+    //    debugger pairs it with a loader frame built from `nm` output.
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
     println!("symbol table: {} bytes of PostScript", symtab.len());
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
 
     // 3. Start the program under a nub and attach.
     let mut ldb = Ldb::new();

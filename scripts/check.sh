@@ -1,7 +1,9 @@
 #!/bin/sh
 # Repo-wide check: what CI runs, runnable locally too.
 #
-#   build (release)  — the tier-1 build
+#   build (release)  — the tier-1 build, plus the benchmark package
+#                      (ldbperf/), so a core API change that breaks the
+#                      benchmark fails here rather than in a benchmark run
 #   clippy           — lint gate; the whole workspace denies all warnings
 #   test             — workspace suite, incl. tests/fault_injection.rs
 #   robustness gate  — the artifact-corruption suite and the fuzz smoke,
@@ -30,6 +32,9 @@
 #                      round-trip to bit-identical machine state on every
 #                      architecture, typed truncation past the oldest
 #                      checkpoint) and the pinned reverse-session goldens
+#   front-end parity — every command in the shared command table prints
+#                      the same bytes at the interactive prompt, under
+#                      `ldb --script`, and as an ldbd tenant `cmd`
 #   fleet smoke      — 64 supervised headless sessions (every script
 #                      template × every architecture): outcome coverage,
 #                      byte-identical reports across worker counts, retry
@@ -52,6 +57,7 @@ for arg in "$@"; do
 done
 
 cargo build --release
+cargo build --release --manifest-path ldbperf/Cargo.toml --target-dir target/ldbperf
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --workspace -q
 cargo test -q --test artifact_corruption
@@ -66,6 +72,7 @@ cargo test -q --test daemon_hostile_client
 cargo test -q --test reverse_exec
 cargo test -q --test reverse_golden
 cargo test -q --test script_recovery
+cargo test -q --test frontend_parity
 cargo test -q --test fleet_smoke
 
 if [ "$soak" = 1 ]; then

@@ -11,14 +11,13 @@
 //!        ldb <file.c>... --trace <path>          flight recorder: JSONL journal to path
 //!        ldb <file.c>... --checkpoint-every <n>  checkpoint every n steps during `c`
 //!        ldb <file.c>... --script <path>         headless batch mode: run the script, exit typed
+//! ```
 //!
-//! `--script` runs a command script (the `run_script` replay format)
-//! instead of the interactive loop, prints the transcript, and exits
-//! with a typed status a fleet supervisor can branch on: 0 clean, 3 at
-//! least one `error:` line, 4 a command panicked and was quarantined,
-//! 5 the target's wire was lost. (1 remains the internal-error exit and
-//! 2 the usage exit, so shells can tell a failed *session* from a
-//! failed *invocation*.)
+//! `--script` runs a command script instead of the prompt, prints the
+//! transcript, and exits with the typed status of
+//! `ldb_core::BatchOutcome::exit_code` (0 clean, 3 an `error:` line, 4 a
+//! quarantined panic, 5 a lost wire; 1 and 2 stay the internal-error
+//! and usage exits).
 //!
 //! `--fault` wraps the debugger's wire in a deterministic fault injector
 //! (keys: seed, drop, corrupt, truncate, dup, delay, disconnect); the
@@ -32,50 +31,18 @@
 //! defensive layers (guarded stack walks, cycle-safe printing, the
 //! crash-proof command loop) fired.
 //!
-//! Commands:
-//!   b <func> [n] [if <expr>]  breakpoint, optionally conditional
-//!   bl <line>        breakpoint at the first stopping point on a line
-//!   ba <addr>        single-step breakpoint at a raw code address
-//!   d <addr>         delete the breakpoint at addr
-//!   w <name>         watch a variable (single-steps; stops on change)
-//!   dw <name>        delete the watchpoint on name
-//!   info b           list breakpoints, watchpoints, displays
-//!   info wire        wire transaction counters and cache statistics
-//!   info trace       flight-recorder record counts and recent journal tail
-//!   c | run          continue
-//!   s                single-step one instruction
-//!   n                run to the next stopping point in this frame
-//!   fin              run until the selected frame returns
-//!   checkpoint       capture a restore point (info checkpoints lists them)
-//!   rs | rn | rc     reverse-step / reverse-next / reverse-continue
-//!   display <expr>   re-evaluate and print expr at every stop
-//!   undisplay <n>    remove display n
-//!   x <addr> [n]     hex dump of target data memory
-//!   pc <addr>        set the program counter (repair-and-resume)
-//!   p <name>         print a variable via its type's printer
-//!   e <expr>         evaluate a C expression (assignments allowed)
-//!   call <f>(<args>) call a target function, print its return value
-//!   bt               backtrace
-//!   f <n>            select frame n
-//!   regs             registers (machine-dependent names)
-//!   disas [n]        disassemble n bytes around the current pc
-//!   list             source annotated with stopping points
-//!   ps <code>        run raw PostScript in the embedded interpreter
-//!   detach           detach, preserving target state in the nub
-//!   attach           reconnect to the detached target
-//!   reconnect        replace a lost/faulty wire with a fresh one
-//!   h | help         this list
-//!   q                quit
-//! ```
+//! The commands are the shared command language of `ldb_core::script`
+//! (the same table `--script`, `ldbd` tenants and the fleet run); type
+//! `help` at the prompt for the list.
 
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
-use ldb_cc::driver::{compile_many, program_load_plan, CompileOpts, CompiledProgram};
-use ldb_cc::pssym;
-use ldb_core::{ChaosConfig, Ldb, ModuleTable, StopEvent};
-use ldb_machine::{Arch, ByteOrder};
+use ldb_cc::driver::{compile_many, CompileOpts};
+use ldb_core::{ChaosConfig, Ldb, ModuleCache, PreparedTarget};
 use ldb_machine::core::read_core;
-use ldb_nub::{spawn_machine, FaultConfig, FaultyWire, NubConfig, NubHandle, TcpWire, Wire};
+use ldb_machine::{Arch, ByteOrder};
+use ldb_nub::{spawn_machine, ClientConfig, FaultConfig, NubConfig, TcpWire};
 use ldb_trace::{Trace, TraceConfig};
 
 fn main() {
@@ -86,83 +53,42 @@ fn main() {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut files = Vec::new();
-    let mut arch = Arch::Mips;
-    let mut order = None;
-    let mut tcp = false;
-    let mut run_only = false;
-    let mut core: Option<String> = None;
-    let mut fault: Option<FaultConfig> = None;
-    let mut chaos: Option<ChaosConfig> = None;
-    let mut checkpoint_every: Option<u64> = None;
-    let mut trace_path: Option<String> = None;
-    let mut script_path: Option<String> = None;
-    let mut wire_cache = true;
-    let mut ps_fuel: Option<u64> = None;
-    let mut ps_mem: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let (mut files, mut arch, mut order) = (Vec::new(), Arch::Mips, None);
+    let (mut tcp, mut run_only, mut wire_cache) = (false, false, true);
+    let (mut core, mut trace_path, mut script_path): (Option<String>, _, _) = (None, None, None);
+    let (mut fault, mut chaos): (Option<FaultConfig>, Option<ChaosConfig>) = (None, None);
+    let (mut checkpoint_every, mut ps_fuel, mut ps_mem): (Option<u64>, _, _) = (None, None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = |what: &str| args.next().ok_or(format!("{arg} needs {what}"));
+        match arg.as_str() {
             "--no-wire-cache" => wire_cache = false,
-            "--ps-fuel" => {
-                i += 1;
-                ps_fuel =
-                    Some(args.get(i).ok_or("--ps-fuel needs a step count")?.parse::<u64>()?);
-            }
-            "--ps-mem" => {
-                i += 1;
-                ps_mem = Some(args.get(i).ok_or("--ps-mem needs a byte count")?.parse::<u64>()?);
-            }
+            "--ps-fuel" => ps_fuel = Some(value("a step count")?.parse()?),
+            "--ps-mem" => ps_mem = Some(value("a byte count")?.parse()?),
             "--fault" => {
-                i += 1;
-                let spec = args.get(i).ok_or("--fault needs a spec (e.g. seed=1,drop=0.05)")?;
-                fault = Some(FaultConfig::parse(spec)?);
+                fault = Some(FaultConfig::parse(&value("a spec (e.g. seed=1,drop=0.05)")?)?);
             }
             "--chaos" => {
-                i += 1;
-                let spec =
-                    args.get(i).ok_or("--chaos needs a seed (e.g. 7, or seed=7,rate=0.1)")?;
-                chaos = Some(ChaosConfig::parse(spec)?);
+                chaos = Some(ChaosConfig::parse(&value("a seed (e.g. 7, or seed=7,rate=0.1)")?)?);
             }
-            "--checkpoint-every" => {
-                i += 1;
-                checkpoint_every = Some(
-                    args.get(i)
-                        .ok_or("--checkpoint-every needs a step count")?
-                        .parse::<u64>()?,
-                );
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(args.get(i).ok_or("--trace needs a path")?.clone());
-            }
-            "--script" => {
-                i += 1;
-                script_path = Some(args.get(i).ok_or("--script needs a path")?.clone());
-            }
+            "--checkpoint-every" => checkpoint_every = Some(value("a step count")?.parse()?),
+            "--trace" => trace_path = Some(value("a path")?),
+            "--script" => script_path = Some(value("a path")?),
             "--arch" => {
-                i += 1;
-                arch = Arch::from_name(args.get(i).map(String::as_str).unwrap_or(""))
-                    .ok_or("unknown architecture")?;
+                arch = Arch::from_name(&value("an architecture")?).ok_or("unknown architecture")?;
             }
             "--tcp" => tcp = true,
             "--run" => run_only = true,
-            "--core" => {
-                i += 1;
-                core = Some(args.get(i).ok_or("--core needs a path")?.clone());
-            }
+            "--core" => core = Some(value("a path")?),
             "--order" => {
-                i += 1;
-                order = Some(match args.get(i).map(String::as_str) {
-                    Some("big") => ByteOrder::Big,
-                    Some("little") => ByteOrder::Little,
+                order = Some(match value("big or little")?.as_str() {
+                    "big" => ByteOrder::Big,
+                    "little" => ByteOrder::Little,
                     _ => return Err("order must be big or little".into()),
                 });
             }
             other => files.push(other.to_string()),
         }
-        i += 1;
     }
     if files.is_empty() {
         eprintln!(
@@ -175,34 +101,22 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // recompiled (deterministically) for the symbol tables.
     let loaded_core = match (&core, run_only) {
         (Some(path), false) => {
-            let bytes = std::fs::read(path)?;
-            let (machine, sig, code, context) = read_core(&bytes)?;
-            arch = machine.cpu.arch;
-            Some((machine, sig, code, context))
+            let dump = read_core(&std::fs::read(path)?)?;
+            arch = dump.0.cpu.arch;
+            Some(dump)
         }
         _ => None,
     };
-    let sources: Vec<(String, String)> = files
-        .iter()
-        .map(|f| Ok::<_, std::io::Error>((f.clone(), std::fs::read_to_string(f)?)))
-        .collect::<Result<_, _>>()?;
-    let src = sources.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>().join("
-");
+    let sources = files.iter().map(std::fs::read_to_string).collect::<Result<Vec<_>, _>>()?;
     let parts: Vec<(&str, &str)> =
-        sources.iter().map(|(f, s)| (f.as_str(), s.as_str())).collect();
-    let c: CompiledProgram =
-        compile_many(&parts, arch, CompileOpts { order, ..Default::default() })
-            .map_err(|e| format!("{e}"))?;
-    let (frame_ps, modules) = c_plan(&c);
+        files.iter().map(String::as_str).zip(sources.iter().map(String::as_str)).collect();
+    let c = compile_many(&parts, arch, CompileOpts { order, ..Default::default() })
+        .map_err(|e| format!("{e}"))?;
     if run_only {
         // Run undebugged; a fault dumps core (UNIX semantics) when
         // --core names a path.
-        let cfg = NubConfig {
-            core_path: core.clone().map(std::path::PathBuf::from),
-            ..Default::default()
-        };
-        let handle = ldb_nub::spawn(&c.linked.image, cfg);
-        let m = handle.join.join().expect("nub thread");
+        let cfg = NubConfig { core_path: core.as_ref().map(Into::into), ..Default::default() };
+        let m = ldb_nub::spawn(&c.linked.image, cfg).join.join().expect("nub thread");
         print!("{}", m.output);
         match m.exited {
             Some(status) => println!("exited with status {status}"),
@@ -216,13 +130,17 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         return Ok(());
     }
+    // `c` lives to the end of the session: freeing a big unit's program
+    // costs milliseconds on the way to the first prompt.
+    let prepared = Arc::new(PreparedTarget::new(&c, sources.join("\n"), &ModuleCache::new())?);
     let mut ldb = Ldb::new();
     ldb.set_wire_cache(wire_cache);
     ldb.set_ps_limits(ps_fuel, ps_mem);
     ldb.set_chaos(chaos.clone());
     ldb.set_checkpoint_every(checkpoint_every);
+    ldb.set_fault(fault.clone());
     // The flight recorder always keeps an in-memory ring for `info trace`;
-    // `--trace` additionally streams every record to a JSONL journal with
+    // `--trace` streams every record to a JSONL journal instead, with
     // wall-clock timestamps.
     let trace = match &trace_path {
         Some(path) => {
@@ -235,43 +153,40 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         None => Trace::ring(4096),
     };
     ldb.set_trace(trace.clone());
+    // The interactive client policy (10 ms event poll).
+    let cfg = ClientConfig::default();
     if let Some((machine, sig, code, context)) = loaded_core {
         let pc = machine.cpu.pc;
-        let handle = spawn_machine(machine, context, NubConfig::default());
-        let wire = handle.connect_channel()?;
-        ldb.attach_plan(maybe_faulty(wire, &fault, &trace), &frame_ps, &modules, Some(handle))?;
+        let nub = spawn_machine(machine, context, NubConfig::default());
+        let wire = nub.connect_channel()?;
+        ldb.attach_prepared(&prepared, nub, Box::new(wire), cfg)?;
         println!(
             "core: signal {sig} (code {code:#x}) at pc {pc:#x}; post-mortem session"
         );
     } else if tcp {
         // Debug over a real socket: the nub thread is the "remote
         // machine"; an acceptor plays inetd and hands it the connection.
-        let handle =
-            ldb_nub::spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
+        let nub = prepared.spawn();
         let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let connect = handle.connect.clone();
+        let connect = nub.connect.clone();
         std::thread::spawn(move || {
             if let Ok((s, _)) = listener.accept() {
                 let _ = connect.send(Box::new(TcpWire::new(s)));
             }
         });
         let stream = std::net::TcpStream::connect(addr)?;
-        ldb.attach_plan(maybe_faulty(TcpWire::new(stream), &fault, &trace), &frame_ps, &modules, Some(handle))?;
+        ldb.attach_prepared(&prepared, nub, Box::new(TcpWire::new(stream)), cfg)?;
         println!("connected over tcp://{addr}");
     } else {
-        let handle =
-            ldb_nub::spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
-        let wire = handle.connect_channel()?;
-        ldb.attach_plan(maybe_faulty(wire, &fault, &trace), &frame_ps, &modules, Some(handle))?;
+        ldb.spawn_prepared(&prepared, cfg)?;
     }
-    warn_quarantined(&ldb);
+    print!("{}", ldb_core::quarantine_warnings(&ldb));
     // Headless batch mode: run the script, print the transcript, exit
     // with the typed BatchOutcome code. No banners — the transcript is
     // the whole contract, byte-identical to a run_script replay.
     if let Some(path) = &script_path {
-        let text = std::fs::read_to_string(path)?;
-        let transcript = ldb_core::run_script(&mut ldb, &text);
+        let transcript = ldb_core::run_script(&mut ldb, &std::fs::read_to_string(path)?);
         print!("{transcript}");
         let outcome = ldb_core::BatchOutcome::classify(&ldb, &transcript);
         trace.flush();
@@ -290,45 +205,17 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             cfg.seed, cfg.rate
         );
     }
-    println!(
-        "ldb: {} for {arch} ({} instructions)",
-        files.join(" "),
-        c.linked.stats.insn_count
-    );
+    println!("ldb: {} for {arch} ({} instructions)", files.join(" "), c.linked.stats.insn_count);
 
-    let mut sess = Session { fault, trace: trace.clone(), ..Session::default() };
     let stdin = std::io::stdin();
     let mut lines = stdin.lock().lines();
     loop {
         print!("(ldb) ");
         std::io::stdout().flush()?;
         let Some(Ok(line)) = lines.next() else { break };
-        let mut parts = line.split_whitespace();
-        let cmd = parts.next().unwrap_or("");
-        let rest: Vec<&str> = parts.collect();
-        // One hostile command must not take the session down: a residual
-        // panic anywhere in dispatch quarantines that command (journaled,
-        // counted by `info health`), re-validates session state, and the
-        // loop keeps going.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dispatch(&mut ldb, &mut sess, &c, &src, cmd, &rest)
-        }));
-        match result {
-            Ok(Ok(true)) => break,
-            Ok(Ok(false)) => {}
-            Ok(Err(e)) => println!("error: {e}"),
-            Err(payload) => {
-                let msg = ldb_core::panic_text(payload.as_ref());
-                trace.emit(
-                    ldb_trace::Layer::Dbg,
-                    ldb_trace::Severity::Warn,
-                    "panic",
-                    &[("cmd", cmd.to_string().into()), ("msg", msg.clone().into())],
-                );
-                ldb.note_quarantined();
-                ldb.recover_session();
-                println!("error: command quarantined (internal panic: {msg})");
-            }
+        match ldb_core::run_line(&mut ldb, &line) {
+            Some(out) => print!("{out}"),
+            None => break,
         }
         // Keep the on-disk journal current between commands so a crashed
         // session still leaves a usable trace behind.
@@ -339,512 +226,4 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("ldb: warning: trace journal write failed; the file is incomplete");
     }
     Ok(())
-}
-
-/// Per-session CLI state layered over the library: auto-display
-/// expressions (breakpoint conditions live in the library, so every
-/// resume path honors them).
-#[derive(Default)]
-struct Session {
-    /// Expressions re-evaluated and printed at every stop.
-    displays: Vec<String>,
-    /// A detached target: the nub handle keeps the program's thread (and
-    /// preserved state) alive for a later `attach` (the load plan is
-    /// regenerated from the compiled program).
-    parked: Option<NubHandle>,
-    /// Active fault-injection spec; fresh wires (attach, reconnect) are
-    /// wrapped with it too, so the drill follows the session.
-    fault: Option<FaultConfig>,
-    /// The session flight recorder; fresh fault injectors journal into it.
-    trace: Trace,
-}
-
-/// Wrap a wire in the session's fault injector, if one is configured; the
-/// injector journals every injected fault into the flight recorder.
-fn maybe_faulty<W: Wire + 'static>(
-    wire: W,
-    fault: &Option<FaultConfig>,
-    trace: &Trace,
-) -> Box<dyn Wire> {
-    match fault {
-        Some(cfg) => {
-            let mut fw = FaultyWire::wrap(wire, cfg.clone());
-            fw.set_trace(trace.clone());
-            Box::new(fw)
-        }
-        None => Box::new(wire),
-    }
-}
-
-/// Print the auto-display expressions after a stop.
-fn show_displays(ldb: &mut Ldb, sess: &Session) {
-    for (k, expr) in sess.displays.iter().enumerate() {
-        match ldb.eval(expr) {
-            Ok(v) => println!("{k}: {expr} = {v}"),
-            Err(e) => println!("{k}: {expr} = <{e}>"),
-        }
-    }
-}
-
-/// The load plan for the compiled program (regenerated on demand; it is
-/// deterministic): the trusted linker frame plus named per-module symbol
-/// tables, each sandboxed and quarantinable on its own.
-fn c_plan(c: &CompiledProgram) -> (String, Vec<ModuleTable>) {
-    let (frame, modules) = program_load_plan(c, pssym::PsMode::Deferred);
-    let modules =
-        modules.into_iter().map(|(name, ps)| ModuleTable { name, ps }).collect();
-    (frame, modules)
-}
-
-/// Report any modules the sandbox quarantined during a load.
-fn warn_quarantined(ldb: &Ldb) {
-    for (module, reason) in ldb.quarantined_modules() {
-        println!("warning: module {module} quarantined: {reason}");
-        println!("         (its symbols are unavailable; `reload` retries)");
-    }
-}
-
-fn dispatch(
-    ldb: &mut Ldb,
-    sess: &mut Session,
-    c: &CompiledProgram,
-    src: &str,
-    cmd: &str,
-    rest: &[&str],
-) -> Result<bool, Box<dyn std::error::Error>> {
-    match cmd {
-        "" => {}
-        "q" | "quit" => return Ok(true),
-        "h" | "help" => {
-            println!(
-                "\
-b <func> [n] [if <expr>]  breakpoint at stopping point n (default 0), optionally conditional
-bl <line> | ba <addr>     breakpoint by line / raw address (single-step scheme)
-d <addr>                  delete breakpoint        info   list breakpoints/watches/displays
-info wire                 wire transaction counters and cache statistics
-info ps                   sandbox budgets, fuel/allocation spent, quarantined modules
-info trace                flight-recorder counts, cross-checks, recent journal records
-info health [--json]      defensive-layer counters (truncated walks, cycles, quarantines)
-reload                    retry quarantined symbol tables
-w <name> | dw <name>      watch a variable / stop watching
-c                         continue                 s      step one instruction
-n                         step over (same frame)   fin    run until this frame returns
-checkpoint                capture a restore point  info checkpoints  list restore points
-rs | reverse-step         rewind one instruction (restore + deterministic replay)
-rn | reverse-next         rewind to the previous source line, skipping calls
-rc | reverse-continue     rewind to the most recent breakpoint hit
-p <name>                  print via the type's printer
-e <expr>                  evaluate (assignments and calls allowed)
-call <f>(<args>)          call a target function
-display <expr> | undisplay <k>   re-evaluate at every stop / remove
-x <addr> [n]              hex dump data memory     pc <addr>  set the program counter
-bt | f <n>                backtrace / select frame
-regs | list | disas [a]   registers / annotated source / disassembly
-ps <code>                 run PostScript in the embedded interpreter
-detach | attach           park the target in the nub / reconnect
-reconnect                 replace a lost/faulty wire with a fresh one
-q                         quit"
-            );
-        }
-        "b" | "break" => {
-            let func = rest.first().ok_or("usage: b <func> [n] [if <expr>]")?;
-            // `b f 3 if i > 2` — everything after `if` is the condition.
-            let if_pos = rest.iter().position(|w| *w == "if");
-            let args = &rest[1..if_pos.unwrap_or(rest.len())];
-            let idx: usize = args.first().map(|s| s.parse()).transpose()?.unwrap_or(0);
-            let cond = if_pos.map(|p| rest[p + 1..].join(" "));
-            if cond.as_deref() == Some("") {
-                return Err("usage: b <func> [n] if <expr>".into());
-            }
-            let addr = ldb.break_at(func, idx)?;
-            match &cond {
-                Some(c) => println!("breakpoint at {addr:#x} ({func} stop {idx}) if {c}"),
-                None => println!("breakpoint at {addr:#x} ({func} stop {idx})"),
-            }
-            ldb.set_break_condition(addr, cond)?;
-        }
-        "bl" => {
-            let line: u32 = rest.first().ok_or("usage: bl <line>")?.parse()?;
-            let addr = ldb.break_at_line(line)?;
-            println!("breakpoint at {addr:#x} (line {line})");
-        }
-        "ba" => {
-            let a = rest.first().ok_or("usage: ba <hex-addr>")?;
-            let addr = u32::from_str_radix(a.trim_start_matches("0x"), 16)?;
-            ldb.break_at_pc(addr)?;
-            println!("single-step breakpoint at {addr:#x}");
-        }
-        "d" | "delete" => {
-            let a = rest.first().ok_or("usage: d <hex-addr>")?;
-            let addr = u32::from_str_radix(a.trim_start_matches("0x"), 16)?;
-            ldb.clear_breakpoint(addr)?;
-        }
-        "w" | "watch" => {
-            let name = rest.first().ok_or("usage: w <name>")?;
-            let val = ldb.watch_var(name)?;
-            println!("watching {name} (currently {val})");
-        }
-        "dw" => {
-            let name = rest.first().ok_or("usage: dw <name>")?;
-            ldb.clear_watch(name)?;
-        }
-        "info" if rest.first() == Some(&"ps") => {
-            let b = ldb.ps_budgets();
-            let s = ldb.interp.budget_stats();
-            println!(
-                "budgets: load {} steps / {} bytes; interactive {} steps / {} bytes",
-                b.load.max_fuel, b.load.max_alloc, b.interactive.max_fuel, b.interactive.max_alloc
-            );
-            println!(
-                "sandbox: {} steps spent, {} bytes charged ({} peak), {} budget trips",
-                s.fuel_spent_total, s.alloc_charged_total, s.alloc_peak, s.budget_trips
-            );
-            let q = ldb.quarantined_modules();
-            if q.is_empty() {
-                println!("quarantine: empty");
-            } else {
-                for (module, reason) in q {
-                    println!("quarantine: module {module}: {reason}");
-                }
-            }
-        }
-        "reload" => {
-            let rows = ldb.reload_modules()?;
-            if rows.is_empty() {
-                println!("nothing quarantined");
-            }
-            for (module, outcome) in rows {
-                match outcome {
-                    Ok(()) => println!("module {module}: reloaded"),
-                    Err(reason) => println!("module {module}: still quarantined: {reason}"),
-                }
-            }
-        }
-        "info" if rest.first() == Some(&"trace") => {
-            println!("{}", ldb_core::trace_report(ldb));
-            let tail = ldb.trace().tail(8);
-            if !tail.is_empty() {
-                println!("recent:");
-                for r in &tail {
-                    println!("  {}", r.to_json());
-                }
-            }
-            if ldb.trace().write_failed() {
-                println!("warning: journal write failed; records are missing from the file");
-            }
-        }
-        "info" if rest.first() == Some(&"health") => {
-            if rest.get(1) == Some(&"--json") {
-                println!("{}", ldb.health().to_json());
-            } else {
-                println!("{}", ldb.health());
-            }
-        }
-        "info" if rest.first() == Some(&"checkpoints") => {
-            let s = ldb.checkpoint_stats()?;
-            println!(
-                "checkpoints: {}/{} held, {} raw bytes ({} compressed)",
-                s.len, s.cap, s.raw, s.compressed
-            );
-            for (steps, raw, packed) in ldb.checkpoint_rows()? {
-                println!("  step {steps}: {raw} bytes ({packed} compressed)");
-            }
-        }
-        "info" if rest.first() == Some(&"wire") => {
-            let id = ldb.current().ok_or("no target")?;
-            let t = ldb.target(id);
-            let m = t.client.borrow().metrics();
-            println!(
-                "wire:  {} transactions, {} retransmits, {} bytes sent, {} bytes received",
-                m.transactions, m.retransmits, m.bytes_sent, m.bytes_received
-            );
-            match &t.cache {
-                Some(cache) => {
-                    let s = cache.stats();
-                    println!(
-                        "cache: {} hits, {} misses, {} line fills, {} lines invalidated, {} resident",
-                        s.hits, s.misses, s.fills, s.invalidated, cache.resident_lines()
-                    );
-                }
-                None => println!("cache: disabled (--no-wire-cache)"),
-            }
-        }
-        "info" => {
-            if let Some(id) = ldb.current() {
-                for a in ldb.target(id).breakpoints.addresses() {
-                    match ldb.target(id).conds.get(&a) {
-                        Some(cond) => println!("breakpoint at {a:#x} if {cond}"),
-                        None => println!("breakpoint at {a:#x}"),
-                    }
-                }
-            }
-            for (name, val) in ldb.watchpoints() {
-                println!("watchpoint on {name} (last {val})");
-            }
-            for (k, expr) in sess.displays.iter().enumerate() {
-                println!("display {k}: {expr}");
-            }
-        }
-        "c" | "cont" | "run" | "r" => {
-            let ev = ldb.cont_watch()?;
-            let exited = matches!(ev, StopEvent::Exited(_));
-            report(ev);
-            if !exited {
-                show_displays(ldb, sess);
-            }
-        }
-        "n" | "next" => {
-            let ev = ldb.step_over()?;
-            let exited = matches!(ev, StopEvent::Exited(_));
-            report(ev);
-            if !exited {
-                show_displays(ldb, sess);
-            }
-        }
-        "fin" | "finish" => {
-            let (ev, rv) = ldb.finish()?;
-            let exited = matches!(ev, StopEvent::Exited(_));
-            report(ev);
-            if let Some(rv) = rv {
-                println!("value returned: {rv}");
-            }
-            if !exited {
-                show_displays(ldb, sess);
-            }
-        }
-        "s" | "step" => {
-            let ev = ldb.step_insn()?;
-            let exited = matches!(ev, StopEvent::Exited(_));
-            report(ev);
-            if !exited {
-                show_displays(ldb, sess);
-            }
-        }
-        "checkpoint" => {
-            let steps = ldb.checkpoint_now()?;
-            println!("checkpoint at step {steps}");
-        }
-        "rs" | "reverse-step" => {
-            report(ldb.reverse_step_insn()?);
-            show_displays(ldb, sess);
-        }
-        "rn" | "reverse-next" => {
-            report(ldb.reverse_next()?);
-            show_displays(ldb, sess);
-        }
-        "rc" | "reverse-continue" => {
-            report(ldb.reverse_cont()?);
-            show_displays(ldb, sess);
-        }
-        "display" => {
-            let expr = rest.join(" ");
-            if expr.is_empty() {
-                return Err("usage: display <expr>".into());
-            }
-            // Evaluate once now for immediate feedback; an expression
-            // that is not yet in scope still arms (it will print once
-            // the target reaches a scope where it evaluates).
-            match ldb.eval(&expr) {
-                Ok(v) => println!("{}: {expr} = {v}", sess.displays.len()),
-                Err(e) => println!("{}: {expr} = <{e}>", sess.displays.len()),
-            }
-            sess.displays.push(expr);
-        }
-        "undisplay" => {
-            let k: usize = rest.first().ok_or("usage: undisplay <n>")?.parse()?;
-            if k >= sess.displays.len() {
-                return Err(format!("no display {k}").into());
-            }
-            sess.displays.remove(k);
-        }
-        "x" | "examine" => {
-            // x <hex-addr> [n-bytes] — hex dump of target data memory.
-            let a = rest.first().ok_or("usage: x <hex-addr> [nbytes]")?;
-            let addr = u32::from_str_radix(a.trim_start_matches("0x"), 16)?;
-            let n: u32 = rest.get(1).map(|s| s.parse()).transpose()?.unwrap_or(64);
-            let id = ldb.current().ok_or("no target")?;
-            let client = std::rc::Rc::clone(&ldb.target(id).client);
-            let mut client = client.borrow_mut();
-            for row in 0..n.div_ceil(16) {
-                let base = addr + row * 16;
-                let mut hex = String::new();
-                let mut ascii = String::new();
-                for b in 0..16.min(n - row * 16) {
-                    let byte = client.fetch('d', base + b, 1)? as u8;
-                    hex.push_str(&format!("{byte:02x} "));
-                    ascii.push(if byte.is_ascii_graphic() || byte == b' ' {
-                        byte as char
-                    } else {
-                        '.'
-                    });
-                }
-                println!("{base:#010x}  {hex:<48} {ascii}");
-            }
-        }
-        "pc" => {
-            // Redirect execution: `pc <hex-addr>` (repair-and-resume).
-            let a = rest.first().ok_or("usage: pc <hex-addr>")?;
-            let addr = u32::from_str_radix(a.trim_start_matches("0x"), 16)?;
-            ldb.set_pc(addr)?;
-            println!("pc set to {addr:#x}");
-        }
-        "detach" => {
-            let handle = ldb
-                .detach_current()?
-                .ok_or("this target has no local nub handle (already taken)")?;
-            sess.parked = Some(handle);
-            println!("detached; program state preserved in the nub (reconnect with `attach`)");
-        }
-        "attach" => {
-            let handle = sess.parked.take().ok_or("nothing detached in this session")?;
-            let (frame_ps, modules) = c_plan(c);
-            let wire = handle.connect_channel()?;
-            match ldb.attach_plan(maybe_faulty(wire, &sess.fault, &sess.trace), &frame_ps, &modules, Some(handle))
-            {
-                Ok(_) => {
-                    warn_quarantined(ldb);
-                    println!("reattached; breakpoints recovered from the nub");
-                }
-                Err(e) => {
-                    // The handle went into the failed target; nothing to
-                    // re-park, but say so rather than dropping silently.
-                    return Err(format!("reattach failed: {e}").into());
-                }
-            }
-        }
-        "reconnect" => {
-            // Replace the current target's wire with a fresh one — the
-            // recovery move after a lost or fault-severed connection. The
-            // nub kept the target's state; planted breakpoints are
-            // re-learned from its plant records.
-            let id = ldb.current().ok_or("no target")?;
-            let wire = {
-                let t = ldb.target(id);
-                let handle = t
-                    .nub
-                    .as_ref()
-                    .ok_or("this target has no local nub handle to reconnect through")?;
-                handle.connect_channel()?
-            };
-            let ev = ldb.reconnect(id, maybe_faulty(wire, &sess.fault, &sess.trace))?;
-            report(ev);
-            println!("reconnected; breakpoints recovered from the nub");
-        }
-        "call" => {
-            // call f(expr, expr, ...) — each argument is evaluated by the
-            // expression server, so variables and arithmetic work.
-            let joined = rest.join(" ");
-            if !joined.contains('(') || !joined.trim_end().ends_with(')') {
-                return Err("usage: call <func>(<args>)".into());
-            }
-            // The library's expression evaluator handles the whole call
-            // (including float arguments and the return type recorded in
-            // the symbol table), so just hand it the text.
-            println!("{}", ldb.eval(&joined)?);
-        }
-        "p" | "print" => {
-            let name = rest.first().ok_or("usage: p <name>")?;
-            println!("{} = {}", name, ldb.print_var(name)?);
-        }
-        "e" | "eval" => {
-            let expr = rest.join(" ");
-            println!("{}", ldb.eval(&expr)?);
-        }
-        "bt" | "where" => {
-            let (rows, stop) = ldb.backtrace();
-            if rows.is_empty() {
-                println!("no stack");
-            }
-            for (lvl, name, pc, vfp) in rows {
-                println!("#{lvl}  {name}  pc={pc:#x}  frame={vfp:#x}");
-            }
-            if !stop.is_clean() {
-                println!("walk truncated: {stop}");
-            }
-        }
-        "f" | "frame" => {
-            let n: usize = rest.first().ok_or("usage: f <n>")?.parse()?;
-            ldb.select_frame(n)?;
-            println!("frame {n} selected");
-        }
-        "regs" => {
-            for (chunkno, chunk) in ldb.registers()?.chunks(4).enumerate() {
-                let _ = chunkno;
-                let row: Vec<String> =
-                    chunk.iter().map(|(n, v)| format!("{n:>5} = {v:08x}")).collect();
-                println!("  {}", row.join("   "));
-            }
-        }
-        "list" | "l" => {
-            let fib: Vec<&ldb_cc::ir::FuncIr> =
-                c.units.iter().flat_map(|(u, _)| u.funcs.iter()).collect();
-            for (lineno, line) in src.lines().enumerate() {
-                let lineno = lineno as u32 + 1;
-                let marks: Vec<String> = fib
-                    .iter()
-                    .flat_map(|f| f.stops.iter())
-                    .filter(|s| s.line == lineno)
-                    .map(|s| s.index.to_string())
-                    .collect();
-                let tag = if marks.is_empty() {
-                    String::new()
-                } else {
-                    format!("  % stops {}", marks.join(","))
-                };
-                println!("{lineno:>4}  {line}{tag}");
-            }
-        }
-        "disas" | "di" => {
-            let id = ldb.current().ok_or("no target")?;
-            let t = ldb.target(id);
-            let f = t.frames.get(t.cur_frame).ok_or("not stopped")?;
-            let pc = f.pc;
-            let n: u32 = rest.first().map(|s| s.parse()).transpose()?.unwrap_or(32);
-            // Disassemble forward from the pc: backing up is unreliable on
-            // the variable-length targets.
-            let start = pc;
-            let mut bytes = Vec::new();
-            for a in start..start + n {
-                bytes.push(t.client.borrow_mut().fetch('c', a, 1)? as u8);
-            }
-            let arch = t.arch;
-            let order = c.order;
-            for (addr, _, text) in ldb_machine::disas::disassemble(arch, order, &bytes, start) {
-                let mark = if addr == pc { "=>" } else { "  " };
-                println!("{mark} {addr:#07x}  {text}");
-            }
-        }
-        "ps" => {
-            let code = rest.join(" ");
-            match ldb.interp.run_str(&code) {
-                Ok(()) => {
-                    while ldb.interp.depth() > 0 {
-                        let o = ldb.interp.pop()?;
-                        println!("{}", o.to_syntactic());
-                    }
-                }
-                Err(e) => println!("postscript error: {e}"),
-            }
-        }
-        other => println!("unknown command `{other}` (q quits)"),
-    }
-    Ok(false)
-}
-
-fn report(ev: StopEvent) {
-    match ev {
-        StopEvent::Paused => println!("paused before main"),
-        StopEvent::Attached => println!("attached"),
-        StopEvent::Breakpoint { func, line, addr } => {
-            println!("breakpoint in {func} at line {line} ({addr:#x})")
-        }
-        StopEvent::Stepped { func, line, addr } => {
-            println!("stepped: {func} line {line} ({addr:#x})")
-        }
-        StopEvent::Watchpoint { name, old, new, func, line, addr } => {
-            println!("watchpoint: {name} changed {old} -> {new} in {func} at line {line} ({addr:#x})");
-        }
-        StopEvent::Fault { sig, code } => println!("fault: {sig} (code {code:#x})"),
-        StopEvent::Exited(status) => println!("target exited with status {status}"),
-    }
 }

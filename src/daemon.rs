@@ -44,14 +44,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ldb_cc::driver::{compile_many, program_load_plan, CompileOpts};
-use ldb_cc::pssym::PsMode;
 use ldb_core::{
-    ChaosConfig, CloseReason, CompiledTable, ModuleCache, SessionBuilder, SessionConfig,
-    SessionError, SessionRegistry,
+    prepare_target, service_client_config, ChaosConfig, CloseReason, LdbError, ModuleCache,
+    SessionBuilder, SessionConfig, SessionError, SessionRegistry,
 };
 use ldb_machine::Arch;
-use ldb_nub::{spawn, ClientConfig, FaultConfig, FaultyWire, NubConfig, Wire};
+use ldb_nub::FaultConfig;
 use ldb_trace::{Layer, Severity, Trace};
 
 use crate::net::{BoundedLineReader, ConnLimits, ConnMetrics, LineOutcome, SweepTimer};
@@ -204,42 +202,10 @@ pub fn session_builder_with_cache(
 ) -> SessionBuilder {
     let src = src.to_string();
     Box::new(move |ldb| {
-        let p = compile_many(&[("target.c", src.as_str())], arch, CompileOpts::default())
-            .map_err(|e| ldb_core::LdbError::msg(format!("compile: {e}")))?;
-        let (frame_ps, modules) = program_load_plan(&p, PsMode::Deferred);
-        let (frame, _hit) = cache
-            .get_or_compile(&frame_ps)
-            .map_err(|e| ldb_core::LdbError::msg(format!("loader frame: {e}")))?;
-        let modules: Vec<CompiledTable> = modules
-            .into_iter()
-            .map(|(name, ps)| {
-                let (module, _hit) = cache
-                    .get_or_compile(&ps)
-                    .map_err(|e| ldb_core::LdbError::msg(format!("table `{name}`: {e}")))?;
-                Ok(CompiledTable { name, module })
-            })
-            .collect::<Result<_, ldb_core::LdbError>>()?;
-        let handle = spawn(&p.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
-        let wire = handle
-            .connect_channel()
-            .map_err(|e| ldb_core::LdbError::msg(format!("connect: {e}")))?;
-        let wire: Box<dyn Wire> = match fault {
-            Some(cfg) => {
-                let mut fw = FaultyWire::wrap(wire, cfg);
-                fw.set_trace(ldb.trace().clone());
-                Box::new(fw)
-            }
-            None => Box::new(wire),
-        };
+        let prepared = prepare_target(arch, &src, &cache).map_err(LdbError::msg)?;
+        ldb.set_fault(fault);
         ldb.set_chaos(chaos);
-        let client = ClientConfig {
-            reply_timeout: Duration::from_secs(2),
-            retries: 4,
-            backoff: Duration::from_millis(1),
-            event_poll: Duration::from_millis(100),
-            jitter_seed,
-        };
-        ldb.attach_compiled_with_config(wire, &frame, &modules, Some(handle), client)?;
+        ldb.spawn_prepared(&Arc::new(prepared), service_client_config(jitter_seed))?;
         Ok(format!("{arch}"))
     })
 }

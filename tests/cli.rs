@@ -252,7 +252,7 @@ p n
 q
 ");
     assert!(out.contains("post-mortem session"), "{out}");
-    assert!(out.contains("#4  main"), "{out}");
+    assert!(out.contains("#4 main at 0x"), "{out}");
     assert!(out.contains("depth = 3"), "{out}");
     assert_eq!(out.matches("n = 3").count(), 1, "{out}");
     assert!(out.contains("n = 1"), "{out}");

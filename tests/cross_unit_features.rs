@@ -3,9 +3,9 @@
 //! must work when the interesting code lives in a separately compiled
 //! file.
 
-use ldb_suite::cc::driver::{compile_many, program_loader_ps, CompileOpts};
+use ldb_suite::cc::driver::{compile_many, program_load_plan, CompileOpts};
 use ldb_suite::cc::pssym;
-use ldb_suite::core::{Ldb, StopEvent};
+use ldb_suite::core::{Ldb, ModuleTable, StopEvent};
 use ldb_suite::machine::Arch;
 
 const LIB: &str = r#"
@@ -41,7 +41,11 @@ fn session(arch: Arch) -> Ldb {
         CompileOpts::default(),
     )
     .unwrap();
-    let loader = program_loader_ps(&c, pssym::PsMode::Deferred);
+    let loader: Vec<ModuleTable> = program_load_plan(&c, pssym::PsMode::Deferred)
+        .1
+        .into_iter()
+        .map(|(name, ps)| ModuleTable { name, ps })
+        .collect();
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     ldb

@@ -4,8 +4,8 @@
 //! interface with conditional breakpoints.
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
-use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{Events, Ldb, Outcome, StopEvent};
+use ldb_suite::cc::pssym;
+use ldb_suite::core::{Events, Ldb, ModuleTable, Outcome, StopEvent};
 use ldb_suite::machine::Arch;
 
 const COUNTDOWN: &str = r#"
@@ -28,7 +28,7 @@ fn session(arch: Arch, debug: bool) -> Ldb {
     )
     .unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     ldb
@@ -124,7 +124,7 @@ fn fault_actions_fire() {
     let src = "int main(void) { int *p; p = 0; return *p; }";
     let c = compile("f.c", src, Arch::Sparc, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, Arch::Sparc, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     let mut events = Events::new(ldb);

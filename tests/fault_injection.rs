@@ -9,7 +9,7 @@
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
 use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{Ldb, LdbError, StopEvent};
+use ldb_suite::core::{Ldb, LdbError, ModuleTable, StopEvent};
 use ldb_suite::machine::Arch;
 use ldb_suite::nub::{spawn, ClientConfig, FaultConfig, FaultStats, FaultyWire, NubConfig};
 use ldb_suite::trace::{validate, Layer, Record, Trace, TraceConfig, Value};
@@ -74,12 +74,13 @@ fn attach_faulty(arch: Arch, start: i64, spec: &str) -> Ldb {
     let src = program(start);
     let c = compile("c.c", &src, arch, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
+    let frame = nm::loader_table_for(&c.linked.image, "null");
     let handle = spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
     let wire = handle.connect_channel().unwrap();
     let faulty = FaultyWire::wrap(wire, FaultConfig::parse(spec).unwrap());
     let mut ldb = Ldb::new();
-    ldb.attach_with_config(Box::new(faulty), &loader, Some(handle), lossy_client())
+    ldb.attach_plan_with_config(Box::new(faulty), &frame, &loader, Some(handle), lossy_client())
         .unwrap_or_else(|e| panic!("{arch}: attach over faulty wire: {e}"));
     ldb.break_at("collatz", 3).unwrap_or_else(|e| panic!("{arch}: {e}"));
     ldb
@@ -273,7 +274,8 @@ fn journal_cross_checks_wire_metrics_and_fault_stats() {
     let src = program(start);
     let c = compile("c.c", &src, arch, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
+    let frame = nm::loader_table_for(&c.linked.image, "null");
     let handle = spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
 
     let (trace, journal) = Trace::to_shared_buffer(TraceConfig::default());
@@ -285,7 +287,7 @@ fn journal_cross_checks_wire_metrics_and_fault_stats() {
 
     let mut ldb = Ldb::new();
     ldb.set_trace(trace.clone());
-    ldb.attach_with_config(Box::new(faulty), &loader, Some(handle), lossy_client()).unwrap();
+    ldb.attach_plan_with_config(Box::new(faulty), &frame, &loader, Some(handle), lossy_client()).unwrap();
     ldb.break_at("collatz", 3).unwrap();
     ldb.registers().unwrap(); // register snapshot for the degraded window
 
@@ -426,12 +428,13 @@ fn debugger_crash_reattach_recovers_plants() {
         let src = program(start);
         let c = compile("c.c", &src, arch, CompileOpts::default()).unwrap();
         let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-        let loader = nm::loader_table_for(&c.linked.image, &symtab);
+        let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
+        let frame = nm::loader_table_for(&c.linked.image, "null");
         let handle = spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
 
         // First debugger: plant, advance five hits, then "crash".
         let mut ldb1 = Ldb::new();
-        ldb1.attach(Box::new(handle.connect_channel().unwrap()), &loader, None).unwrap();
+        ldb1.attach_plan(Box::new(handle.connect_channel().unwrap()), &frame, &loader, None).unwrap();
         let addr = ldb1.break_at("collatz", 3).unwrap();
         for k in 0..5 {
             let ev = ldb1.cont().unwrap();
@@ -441,7 +444,7 @@ fn debugger_crash_reattach_recovers_plants() {
 
         // Second debugger: fresh session, fresh wire, same nub.
         let mut ldb2 = Ldb::new();
-        ldb2.attach(Box::new(handle.connect_channel().unwrap()), &loader, None)
+        ldb2.attach_plan(Box::new(handle.connect_channel().unwrap()), &frame, &loader, None)
             .unwrap_or_else(|e| panic!("{arch}: reattach: {e}"));
         let t = ldb2.target(0);
         assert!(t.breakpoints.is_planted(addr), "{arch}: plant not recovered");

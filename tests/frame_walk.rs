@@ -9,8 +9,8 @@
 //! transcript carries the exact truncation line.
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
-use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{script, Ldb, StopEvent, WalkStop, WALK_DEPTH_CAP};
+use ldb_suite::cc::pssym;
+use ldb_suite::core::{Ldb, ModuleTable, script, StopEvent, WALK_DEPTH_CAP, WalkStop};
 use ldb_suite::machine::Arch;
 
 const CLAMP_SRC: &str = r#"
@@ -44,7 +44,7 @@ int main(void) {
 fn session(src: &str, arch: Arch) -> Ldb {
     let c = compile("t.c", src, arch, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     ldb

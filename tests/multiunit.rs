@@ -4,9 +4,9 @@
 //! Sec. 2). Each unit has its own anchor symbol and statics; same-named
 //! statics in different units stay distinct.
 
-use ldb_suite::cc::driver::{compile_many, program_loader_ps, CompileOpts};
+use ldb_suite::cc::driver::{compile_many, program_load_plan, CompileOpts};
 use ldb_suite::cc::pssym::PsMode;
-use ldb_suite::core::{Ldb, StopEvent};
+use ldb_suite::core::{Ldb, ModuleTable, StopEvent};
 use ldb_suite::machine::{Arch, Machine, RunEvent};
 
 const LIB_C: &str = r#"
@@ -76,7 +76,11 @@ fn debugging_across_units_with_a_combined_dictionary() {
             CompileOpts::default(),
         )
         .unwrap();
-        let loader = program_loader_ps(&p, PsMode::Deferred);
+        let loader: Vec<ModuleTable> = program_load_plan(&p, PsMode::Deferred)
+        .1
+        .into_iter()
+        .map(|(name, ps)| ModuleTable { name, ps })
+        .collect();
         let mut ldb = Ldb::new();
         ldb.spawn_program(&p.linked.image, &loader).unwrap();
 
@@ -116,7 +120,11 @@ fn sourcemap_and_line_breakpoints_span_units() {
         CompileOpts::default(),
     )
     .unwrap();
-    let loader = program_loader_ps(&p, PsMode::Eager);
+    let loader: Vec<ModuleTable> = program_load_plan(&p, PsMode::Eager)
+        .1
+        .into_iter()
+        .map(|(name, ps)| ModuleTable { name, ps })
+        .collect();
     let mut ldb = Ldb::new();
     ldb.spawn_program(&p.linked.image, &loader).unwrap();
     // Line 5 of lib.c is `calls++` — found through the merged tables.
@@ -136,7 +144,11 @@ fn file_qualified_line_breakpoints_via_sourcemap() {
         CompileOpts::default(),
     )
     .unwrap();
-    let loader = program_loader_ps(&p, PsMode::Deferred);
+    let loader: Vec<ModuleTable> = program_load_plan(&p, PsMode::Deferred)
+        .1
+        .into_iter()
+        .map(|(name, ps)| ModuleTable { name, ps })
+        .collect();
     let mut ldb = Ldb::new();
     ldb.spawn_program(&p.linked.image, &loader).unwrap();
     // lib.c line 5 is `calls++` inside clamp.
@@ -164,7 +176,11 @@ fn detach_and_run_lets_the_target_finish_alone() {
         CompileOpts::default(),
     )
     .unwrap();
-    let loader = program_loader_ps(&p, PsMode::Deferred);
+    let loader: Vec<ModuleTable> = program_load_plan(&p, PsMode::Deferred)
+        .1
+        .into_iter()
+        .map(|(name, ps)| ModuleTable { name, ps })
+        .collect();
     let mut ldb = Ldb::new();
     ldb.spawn_program(&p.linked.image, &loader).unwrap();
     ldb.break_at("clamp", 1).unwrap();

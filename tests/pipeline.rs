@@ -3,7 +3,7 @@
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
 use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{Ldb, StopEvent};
+use ldb_suite::core::{Ldb, ModuleTable, StopEvent};
 use ldb_suite::machine::Arch;
 
 /// A program exercising structs, pointers, floats, statics, recursion, and
@@ -39,7 +39,7 @@ fn debug_on(arch: Arch) -> Ldb {
     let c = compile("sink.c", KITCHEN_SINK, arch, CompileOpts::default())
         .unwrap_or_else(|e| panic!("{arch}: {e}"));
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     ldb
@@ -130,7 +130,8 @@ fn detach_and_reattach_from_a_new_session() {
     let arch = Arch::M68k;
     let c = compile("sink.c", KITCHEN_SINK, arch, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
+    let frame = nm::loader_table_for(&c.linked.image, "null");
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     ldb.break_at("mean", 0).unwrap();
@@ -144,7 +145,7 @@ fn detach_and_reattach_from_a_new_session() {
     // recovers the planted breakpoint from the nub, and carries on.
     let mut ldb2 = Ldb::new();
     let wire = nub.connect_channel().unwrap();
-    ldb2.attach(Box::new(wire), &loader, None).unwrap();
+    ldb2.attach_plan(Box::new(wire), &frame, &loader, None).unwrap();
     assert_eq!(
         ldb2.target(0).breakpoints.addresses().len(),
         1,
@@ -174,7 +175,7 @@ fn char_arrays_print_as_string_literals() {
     for arch in [Arch::Mips, Arch::M68k] {
         let c = compile("s.c", src, arch, CompileOpts::default()).unwrap();
         let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-        let loader = nm::loader_table_for(&c.linked.image, &symtab);
+        let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
         let mut ldb = Ldb::new();
         ldb.spawn_program(&c.linked.image, &loader).unwrap();
         ldb.break_at("main", 6).unwrap(); // the printf

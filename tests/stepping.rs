@@ -4,8 +4,8 @@
 //! values.
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
-use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{Ldb, StopEvent};
+use ldb_suite::cc::pssym;
+use ldb_suite::core::{Ldb, ModuleTable, StopEvent};
 use ldb_suite::machine::Arch;
 
 const SRC: &str = r#"
@@ -22,7 +22,7 @@ int main(void) { printf("%d\n", down(6)); return 0; }
 fn session(arch: Arch) -> Ldb {
     let c = compile("c.c", SRC, arch, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     ldb

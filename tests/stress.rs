@@ -5,8 +5,8 @@
 //! corruption, pc bookkeeping) that single-stop tests miss.
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
-use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{Ldb, StopEvent};
+use ldb_suite::cc::pssym;
+use ldb_suite::core::{Ldb, ModuleTable, StopEvent};
 use ldb_suite::machine::Arch;
 
 const SRC: &str = r#"
@@ -47,7 +47,7 @@ fn breakpoint_marathon_tracks_ground_truth() {
     for arch in Arch::ALL {
         let c = compile("c.c", SRC, arch, CompileOpts::default()).unwrap();
         let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-        let loader = nm::loader_table_for(&c.linked.image, &symtab);
+        let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
         let mut ldb = Ldb::new();
         ldb.spawn_program(&c.linked.image, &loader).unwrap();
         // Stop at `steps++` on every recursive call — 112 hits for n=27.
@@ -99,7 +99,7 @@ fn alternating_between_targets_under_load() {
     for arch in [Arch::Mips, Arch::Vax] {
         let c = compile("c.c", SRC, arch, CompileOpts::default()).unwrap();
         let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-        let loader = nm::loader_table_for(&c.linked.image, &symtab);
+        let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
         let id = ldb.spawn_program(&c.linked.image, &loader).unwrap();
         ldb.select_target(id).unwrap();
         ldb.break_at("collatz", 3).unwrap();

@@ -3,8 +3,8 @@
 //! sentinel return fault, and restores the pre-call context.
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
-use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{CallArg, Ldb, StopEvent};
+use ldb_suite::cc::pssym;
+use ldb_suite::core::{CallArg, Ldb, ModuleTable, StopEvent};
 use ldb_suite::machine::Arch;
 
 const SRC: &str = r#"
@@ -27,7 +27,7 @@ int main(void) {
 fn stopped_session(arch: Arch) -> Ldb {
     let c = compile("c.c", SRC, arch, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     ldb.break_at("main", 1).unwrap();
@@ -135,7 +135,7 @@ int main(void) { printf("ok\n"); return 0; }
     for arch in Arch::ALL {
         let c = compile("f.c", src, arch, CompileOpts::default()).unwrap();
         let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-        let loader = nm::loader_table_for(&c.linked.image, &symtab);
+        let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
         let mut ldb = Ldb::new();
         ldb.spawn_program(&c.linked.image, &loader).unwrap();
         ldb.break_at("main", 0).unwrap();
@@ -166,7 +166,7 @@ int main(void) { printf("ok\n"); return 0; }
 "#;
     let c = compile("t.c", src, Arch::Mips, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, Arch::Mips, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     ldb.break_at("main", 0).unwrap();

@@ -2,14 +2,14 @@
 //! Sec. 7.1) and the dbx-style string printers for `char *`.
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
-use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{Ldb, StopEvent};
+use ldb_suite::cc::pssym;
+use ldb_suite::core::{Ldb, ModuleTable, StopEvent};
 use ldb_suite::machine::Arch;
 
 fn session(src: &str, arch: Arch) -> Ldb {
     let c = compile("w.c", src, arch, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
     ldb

@@ -7,7 +7,7 @@
 
 use ldb_suite::cc::driver::{compile, CompileOpts};
 use ldb_suite::cc::{nm, pssym};
-use ldb_suite::core::{AbstractMemory, Ldb, StopEvent};
+use ldb_suite::core::{AbstractMemory, Ldb, ModuleTable, StopEvent};
 use ldb_suite::machine::{Arch, ByteOrder};
 use ldb_suite::nub::{spawn, ClientConfig, FaultConfig, FaultyWire, NubConfig, NubError};
 use std::time::Duration;
@@ -36,7 +36,7 @@ int main(void) {
 fn session(arch: Arch, src: &str, opts: CompileOpts, cache: bool) -> (Ldb, u32) {
     let c = compile("t.c", src, arch, opts).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
     let mut ldb = Ldb::new();
     ldb.set_wire_cache(cache);
     ldb.spawn_program(&c.linked.image, &loader).unwrap();
@@ -173,13 +173,14 @@ fn attach_faulty(arch: Arch, opts: CompileOpts, start: i64, spec: &str, cache: b
     let src = marathon_src(start);
     let c = compile("c.c", &src, arch, opts).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, arch, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
+    let frame = nm::loader_table_for(&c.linked.image, "null");
     let handle = spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
     let wire = handle.connect_channel().unwrap();
     let faulty = FaultyWire::wrap(wire, FaultConfig::parse(spec).unwrap());
     let mut ldb = Ldb::new();
     ldb.set_wire_cache(cache);
-    ldb.attach_with_config(Box::new(faulty), &loader, Some(handle), lossy_client())
+    ldb.attach_plan_with_config(Box::new(faulty), &frame, &loader, Some(handle), lossy_client())
         .unwrap_or_else(|e| panic!("{arch}: attach over faulty wire: {e}"));
     ldb.break_at("collatz", 3).unwrap_or_else(|e| panic!("{arch}: {e}"));
     ldb
@@ -254,10 +255,15 @@ int main(void) {
 /// The acceptance workload from the issue: connect to a target stopped
 /// 20+ frames deep, walk the stack, and inspect it the way a user would
 /// at a stop. Returns the wire-transaction count for the whole session.
-fn deep_inspection(handle_wire: Box<dyn ldb_suite::nub::Wire>, loader: &str, cache: bool) -> u64 {
+fn deep_inspection(
+    handle_wire: Box<dyn ldb_suite::nub::Wire>,
+    frame: &str,
+    modules: &[ModuleTable],
+    cache: bool,
+) -> u64 {
     let mut ldb = Ldb::new();
     ldb.set_wire_cache(cache);
-    ldb.attach(handle_wire, loader, None).unwrap();
+    ldb.attach_plan(handle_wire, frame, modules, None).unwrap();
     let (bt, _) = ldb.backtrace();
     assert!(bt.len() >= 20, "cache={cache}: only {} frames", bt.len());
     for _ in 0..2 {
@@ -281,10 +287,11 @@ fn cache_cuts_wire_transactions_five_fold() {
     // session, then "crash" it. The nub preserves the deep stop.
     let c = compile("t.c", DEEP, Arch::Mips, CompileOpts::default()).unwrap();
     let symtab = pssym::emit(&c.unit, &c.funcs, Arch::Mips, pssym::PsMode::Deferred);
-    let loader = nm::loader_table_for(&c.linked.image, &symtab);
+    let loader = [ModuleTable { name: c.unit.file.clone(), ps: symtab }];
+    let frame = nm::loader_table_for(&c.linked.image, "null");
     let handle = spawn(&c.linked.image, NubConfig { wait_at_pause: true, ..Default::default() });
     let mut driver = Ldb::new();
-    driver.attach(Box::new(handle.connect_channel().unwrap()), &loader, None).unwrap();
+    driver.attach_plan(Box::new(handle.connect_channel().unwrap()), &frame, &loader, None).unwrap();
     driver.break_at("report", 0).unwrap();
     let ev = driver.cont().unwrap();
     assert!(matches!(ev, StopEvent::Breakpoint { .. }), "{ev:?}");
@@ -292,8 +299,8 @@ fn cache_cuts_wire_transactions_five_fold() {
 
     // Fresh connects to the preserved 22-frame stop, cache on then off:
     // identical sessions, so the transaction counts compare like for like.
-    let cached = deep_inspection(Box::new(handle.connect_channel().unwrap()), &loader, true);
-    let plain = deep_inspection(Box::new(handle.connect_channel().unwrap()), &loader, false);
+    let cached = deep_inspection(Box::new(handle.connect_channel().unwrap()), &frame, &loader, true);
+    let plain = deep_inspection(Box::new(handle.connect_channel().unwrap()), &frame, &loader, false);
     assert!(
         cached * 5 <= plain,
         "cache saves too little: {cached} transactions cached vs {plain} uncached"
